@@ -183,8 +183,4 @@ class ChaCha20Stream:
 
     def xor(self, data):
         """XOR data with the next len(data) keystream bytes."""
-        ks = self.keystream(len(data))
-        n = len(data)
-        return (
-            int.from_bytes(data, "little") ^ int.from_bytes(ks, "little")
-        ).to_bytes(n, "little")
+        return bytes(a ^ b for a, b in zip(data, self.keystream(len(data))))

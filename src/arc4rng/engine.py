@@ -19,13 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chacha import KEY_SIZE, NONCE_SIZE, ChaCha20Stream
+from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, ChaCha20Stream
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
 BUF_SIZE = 1024
+FUZZ_SIZE = 4  # the fuzzed policy's word, drawn from each new key's stream
 
 DEFAULT_FIXED_INTERVAL = 1_600_000
 DEFAULT_REKEY_BASE = 1 << 20
+
+# The largest byte budget one key can serve without exhausting its block
+# counter. Under a key the cipher yields the fuzz word, whole BUF_SIZE refills
+# for the output beyond the BUF_SIZE - SEED_SIZE bytes already buffered at the
+# rekey, and the next rekey's BUF_SIZE block.
+MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
+    (MAX_BLOCKS * BLOCK_SIZE - FUZZ_SIZE - BUF_SIZE) // BUF_SIZE * BUF_SIZE
+)
+
+_unpack_u32 = struct.Struct("<I").unpack_from
 
 
 class EntropyError(Exception):
@@ -43,10 +54,10 @@ class RekeyPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "fuzzed"):
             raise ValueError(f"unknown policy mode: {self.mode!r}")
-        if self.fixed_interval <= 0:
-            raise ValueError("fixed_interval must be positive")
-        if self.rekey_base <= 0:
-            raise ValueError("rekey_base must be positive")
+        if not 0 < self.fixed_interval <= MAX_BUDGET:
+            raise ValueError(f"fixed_interval must be in 1..{MAX_BUDGET}")
+        if not 0 < 2 * self.rekey_base <= MAX_BUDGET:
+            raise ValueError(f"rekey_base must be in 1..{MAX_BUDGET // 2}")
 
     @classmethod
     def fixed(cls, interval=DEFAULT_FIXED_INTERVAL):
@@ -128,7 +139,10 @@ class Engine:
     """The RNG state machine (arc4random semantics, explicit seeding).
 
     The output stream and the rekey-event log are deterministic functions of
-    (seed, policy); request chunking changes neither.
+    (seed, policy); request chunking changes neither. This holds because the
+    cipher only ever advances by whole BUF_SIZE refills (plus the fuzz word
+    after a rekey), whichever path serves a request, so each rekey takes its
+    key from the same stream position.
     """
 
     def __init__(self, seed, policy=None, log_events=True):
@@ -137,6 +151,7 @@ class Engine:
         self.policy = policy if policy is not None else RekeyPolicy.fuzzed()
         self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf = bytearray(BUF_SIZE)
+        self._view = memoryview(self._buf)  # slices without copying
         self._pos = BUF_SIZE  # buffer starts empty
         self.count = 0
         self.total_out = 0
@@ -167,8 +182,12 @@ class Engine:
             raise ValueError("event logging is disabled")
         return len(self.events)
 
-    def _rekey(self):
-        self._buf[:] = self._cipher.keystream(BUF_SIZE)
+    def _rekey(self, entropy=None):
+        """Install the next key from a fresh BUF_SIZE keystream block, with
+        entropy (SEED_SIZE bytes) XORed into its first SEED_SIZE bytes."""
+        self._cipher.keystream_into(self._view)
+        if entropy is not None:
+            self._buf[:SEED_SIZE] = bytes(a ^ b for a, b in zip(self._buf, entropy))
         self._cipher = ChaCha20Stream(
             bytes(self._buf[:KEY_SIZE]),
             bytes(self._buf[KEY_SIZE:SEED_SIZE]),
@@ -185,29 +204,34 @@ class Engine:
         if self.policy.mode == "fixed":
             return self.policy.fixed_interval
         # Fuzz word drawn from the freshly installed key's stream.
-        fuzz = struct.unpack("<I", self._cipher.xor(bytes(4)))[0]
+        fuzz = _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0]
         return self.policy.rekey_base + fuzz % self.policy.rekey_base
 
     def _serve_into(self, view):
-        """Fill view from the buffer/keystream without touching the budget."""
+        """Fill view from the buffer/keystream without touching the budget.
+
+        Once the buffer is drained, whole multiples of BUF_SIZE go straight
+        from the keystream and the remainder through a buffer refill, so the
+        cipher advances exactly as if every byte had been staged through the
+        buffer.
+        """
         pos = 0
         m = len(view)
         while m:
             have = BUF_SIZE - self._pos
             if have:
                 take = min(have, m)
-                view[pos : pos + take] = self._buf[self._pos : self._pos + take]
+                view[pos : pos + take] = self._view[self._pos : self._pos + take]
                 self._pos += take
                 pos += take
                 m -= take
             elif m >= BUF_SIZE:
-                # Large remainder: serve straight from the keystream. The byte
-                # stream is identical to staging through the buffer.
-                self._cipher.keystream_into(view[pos : pos + m])
-                pos += m
-                m = 0
+                direct = m - m % BUF_SIZE
+                self._cipher.keystream_into(view[pos : pos + direct])
+                pos += direct
+                m -= direct
             else:
-                self._buf[:] = self._cipher.keystream(BUF_SIZE)
+                self._cipher.keystream_into(self._view)
                 self._pos = 0
 
     def _fill(self, view):
@@ -231,6 +255,15 @@ class Engine:
 
     def random_buf(self, n):
         """Return n random bytes, rekeying whenever the byte budget is spent."""
+        pos = self._pos
+        end = pos + n
+        if end <= BUF_SIZE and 0 < n < self.count:
+            # Fast path: the request fits the buffer and leaves budget over.
+            out = self._view[pos:end].tobytes()
+            self._pos = end
+            self.count -= n
+            self.total_out += n
+            return out
         if n < 0:
             raise ValueError("n must be non-negative")
         if n == 0:
@@ -241,7 +274,14 @@ class Engine:
 
     def random_u32(self):
         """One uniformly distributed 32-bit value; never fails."""
-        return struct.unpack("<I", self.random_buf(4))[0]
+        pos = self._pos
+        if pos <= BUF_SIZE - 4 and 4 < self.count:
+            # Fast path: same bytes, same order as random_buf(4).
+            self._pos = pos + 4
+            self.count -= 4
+            self.total_out += 4
+            return _unpack_u32(self._buf, pos)[0]
+        return _unpack_u32(self.random_buf(4))[0]
 
     def random_u32_batch(self, n):
         """n little-endian 32-bit values; identical to n random_u32() calls."""
@@ -264,22 +304,19 @@ class Engine:
             n -= take
 
     def reseed(self, source):
-        """Mix fresh entropy into the key by XOR, then force a rekey.
+        """Force a rekey with fresh entropy mixed in (OpenBSD's _rs_rekey).
 
-        On source failure the error propagates and the engine keeps working
-        with its current key.
+        The next key is a fresh keystream block XOR the entropy, so the
+        current cipher's counter keeps moving forward and no output repeats,
+        whatever the entropy. On source failure the error propagates and the
+        engine keeps working with its current key.
         """
         fresh = source.read()
         if len(fresh) != SEED_SIZE:
             raise EntropyError(
                 f"seed source yielded {len(fresh)} bytes, need {SEED_SIZE}"
             )
-        key = bytes(a ^ b for a, b in zip(self._cipher.key, fresh[:KEY_SIZE]))
-        nonce = bytes(
-            a ^ b for a, b in zip(self._cipher.nonce, fresh[KEY_SIZE:])
-        )
-        self._cipher = ChaCha20Stream(key, nonce)
-        self._rekey()
+        self._rekey(fresh)
 
     def snapshot(self):
         """Serialize the secret-bearing state (for key-erasure checks)."""

@@ -43,8 +43,12 @@ class BoundedSpec:
 def uniform_generic(draw, upper_bound, width=32):
     """Uniform integer in [0, upper_bound) from a w-bit word source.
 
-    Bounds below 2 return 0 without consuming a word.
+    Bounds 0 and 1 return 0 without consuming a word. A bound outside
+    0..2^w raises ValueError before any word is drawn: above 2^w no word
+    would ever be accepted.
     """
+    if not 0 <= upper_bound <= 1 << width:
+        raise ValueError(f"upper_bound must be in 0..2^{width}")
     if upper_bound < 2:
         return 0
     threshold = min_accept(upper_bound, width)
@@ -64,8 +68,10 @@ def uniform_batch(engine, upper_bound, n):
 
     Words are consumed in stream order and rejected ones skipped, which is
     exactly what the one-at-a-time loop does, so results and engine state
-    match. Returns (values, words_drawn).
+    match. Returns (values, words_drawn). Bounds are validated as in uniform().
     """
+    if not 0 <= upper_bound <= 1 << 32:
+        raise ValueError("upper_bound must be in 0..2^32")
     if n < 0:
         raise ValueError("n must be non-negative")
     if upper_bound < 2:
@@ -78,6 +84,8 @@ def uniform_batch(engine, upper_bound, n):
         words = engine.random_u32_batch(n - filled)
         drawn += len(words)
         accepted = words[words >= threshold] if threshold else words
-        out[filled : filled + len(accepted)] = accepted % upper_bound
+        if upper_bound < 1 << 32:
+            accepted = accepted % upper_bound
+        out[filled : filled + len(accepted)] = accepted
         filled += len(accepted)
     return out, drawn

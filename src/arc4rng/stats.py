@@ -77,14 +77,9 @@ def chi_square_p_value(statistic, df):
 
 @dataclass
 class Histogram:
-    """Binned counts with the rule that produced them.
-
-    bin_rule is "categorical" (value = bin index) or "range" (equal-width
-    partition of a half-open interval).
-    """
+    """Binned counts."""
 
     bins: list
-    bin_rule: str = "categorical"
 
     @property
     def total(self):
@@ -96,7 +91,7 @@ class Histogram:
         counts = np.bincount(np.asarray(values), minlength=k)
         if len(counts) > k:
             raise ValueError("observed value outside the categorical range")
-        return cls(bins=[int(c) for c in counts], bin_rule="categorical")
+        return cls(bins=[int(c) for c in counts])
 
     @classmethod
     def range_partition(cls, values, lo, hi, k):
@@ -108,7 +103,7 @@ class Histogram:
             raise ValueError(f"value outside [{lo}, {hi})")
         idx = ((arr - lo) * k / (hi - lo)).astype(np.int64)
         counts = np.bincount(idx, minlength=k)
-        return cls(bins=[int(c) for c in counts], bin_rule="range")
+        return cls(bins=[int(c) for c in counts])
 
 
 @dataclass

@@ -4,10 +4,20 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arc4rng.chacha import chacha_block
+from arc4rng.chacha import (
+    BLOCK_SIZE,
+    MAX_BLOCKS,
+    ChaCha20Stream,
+    CounterExhaustedError,
+    chacha_block,
+)
 from arc4rng.engine import (
     BUF_SIZE,
+    FUZZ_SIZE,
+    MAX_BUDGET,
     SEED_SIZE,
     Engine,
     EntropyError,
@@ -17,6 +27,7 @@ from arc4rng.engine import (
     StaticEntropy,
     parse_seed_hex,
 )
+from arc4rng.sampler import uniform, uniform_generic
 
 ZERO_SEED = bytes(SEED_SIZE)
 SEED_A = bytes(range(SEED_SIZE))
@@ -29,6 +40,48 @@ def test_policy_validation():
         RekeyPolicy.fixed(0)
     with pytest.raises(ValueError):
         RekeyPolicy.fuzzed(-1)
+
+
+def _key_stream_bytes(budget):
+    """Keystream one key yields while serving `budget` output bytes: the fuzz
+    word, whole refills past the bytes buffered at the rekey, the next rekey's
+    block."""
+    refills = -(-(budget - (BUF_SIZE - SEED_SIZE)) // BUF_SIZE)
+    return FUZZ_SIZE + refills * BUF_SIZE + BUF_SIZE
+
+
+def test_policy_budget_bounded_by_counter_space():
+    key_space = MAX_BLOCKS * BLOCK_SIZE  # 2^38 bytes
+    assert _key_stream_bytes(MAX_BUDGET) <= key_space
+    assert _key_stream_bytes(MAX_BUDGET + 1) > key_space
+    assert RekeyPolicy.fixed(MAX_BUDGET).fixed_interval == MAX_BUDGET
+    assert RekeyPolicy.fuzzed(MAX_BUDGET // 2).rekey_base == MAX_BUDGET // 2
+    for bad in (MAX_BUDGET + 1, 2**40):
+        with pytest.raises(ValueError):
+            RekeyPolicy.fixed(bad)
+        with pytest.raises(ValueError):
+            RekeyPolicy.fuzzed(-(-bad // 2))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_budget_limit_by_counter_seek(extra):
+    # Seek the key to one refill before the end of the budget instead of
+    # generating ~2^38 bytes. Losing the fuzz word's partial block changes no
+    # block count: every refill and rekey block still needs 16 blocks.
+    e = Engine(SEED_A, RekeyPolicy.fuzzed(base=1000))
+    budget = MAX_BUDGET + extra
+    refills = -(-(budget - (BUF_SIZE - SEED_SIZE)) // BUF_SIZE)
+    c = e._cipher
+    skip = (refills - 1) * (BUF_SIZE // BLOCK_SIZE)
+    e._cipher = ChaCha20Stream(c.key, c.nonce, c.block_counter + skip)
+    e._pos = BUF_SIZE
+    e.count = budget - (BUF_SIZE - SEED_SIZE) - (refills - 1) * BUF_SIZE
+    if extra:
+        with pytest.raises(CounterExhaustedError):
+            e.discard(e.count)
+    else:
+        e.discard(e.count)
+        assert len(e.events) == 2
 
 
 def test_seed_validation():
@@ -139,18 +192,39 @@ def test_random_buf_edge_cases():
 
 
 def test_chunking_invariance_random_partitions():
+    # Budgets above BUF_SIZE + (BUF_SIZE - SEED_SIZE) and chunks of BUF_SIZE
+    # or more take the direct keystream path on both sides of a rekey.
     rng = random.Random(42)
-    policy = RekeyPolicy.fuzzed(base=700)
-    reference = Engine(SEED_A, policy).random_buf(20_000)
-    for _ in range(20):
-        e = Engine(SEED_A, policy)
-        got = []
-        remaining = 20_000
-        while remaining:
-            k = min(rng.randint(1, 2048), remaining)
-            got.append(e.random_buf(k))
-            remaining -= k
-        assert b"".join(got) == reference
+    for policy in (
+        RekeyPolicy.fuzzed(base=700),
+        RekeyPolicy.fixed(3000),
+        RekeyPolicy.fuzzed(base=2500),
+    ):
+        ref = Engine(SEED_A, policy)
+        reference = ref.random_buf(20_000)
+        for _ in range(20):
+            e = Engine(SEED_A, policy)
+            got = []
+            remaining = 20_000
+            while remaining:
+                k = rng.choice((rng.randint(1, 300), rng.randint(1024, 4096)))
+                k = min(k, remaining)
+                got.append(e.random_buf(k))
+                remaining -= k
+            assert b"".join(got) == reference
+            assert e.events == ref.events
+
+
+def test_one_request_equals_small_chunks_past_rekey():
+    policy = RekeyPolicy.fixed(3000)
+    e = Engine(SEED_A, policy)
+    one = e.random_buf(20_000)
+    chunked = Engine(SEED_A, policy)
+    parts = [chunked.random_buf(300) for _ in range(20_000 // 300)]
+    parts.append(chunked.random_buf(20_000 % 300))
+    assert one == b"".join(parts)
+    assert e.events == chunked.events
+    assert e.snapshot() == chunked.snapshot()
 
 
 def test_boundary_accounting():
@@ -182,6 +256,23 @@ def test_reseed_forces_rekey_even_with_zero_entropy():
     assert len(a.events) == 2
 
 
+@given(
+    entropy=st.binary(min_size=SEED_SIZE, max_size=SEED_SIZE),
+    before=st.integers(0, 3000),
+    policy=st.sampled_from([RekeyPolicy.fixed(), RekeyPolicy.fuzzed(base=1500)]),
+)
+@example(entropy=bytes(SEED_SIZE), before=0, policy=RekeyPolicy.fixed())
+@example(entropy=bytes(SEED_SIZE), before=0, policy=RekeyPolicy.fuzzed(base=1500))
+@settings(max_examples=50, deadline=None)
+def test_reseed_never_replays_output(entropy, before, policy):
+    e = Engine(SEED_A, policy)
+    head = e.random_buf(before + 4096)
+    e.reseed(StaticEntropy(entropy))
+    tail = e.random_buf(2048)
+    for i in range(len(tail) - 63):
+        assert tail[i : i + 64] not in head, i
+
+
 def test_reseed_with_fresh_entropy_diverges():
     a = Engine(SEED_A, RekeyPolicy.fixed())
     b = Engine(SEED_A, RekeyPolicy.fixed())
@@ -194,6 +285,7 @@ def test_reseed_failure_leaves_engine_usable():
     b = Engine(SEED_A, RekeyPolicy.fixed())
     with pytest.raises(EntropyError):
         a.reseed(FailingEntropy())
+    assert a.snapshot() == b.snapshot()
     assert a.random_buf(64) == b.random_buf(64)  # old key still in service
 
     class ShortSource:
@@ -239,3 +331,63 @@ def test_event_logging_can_be_disabled():
 def test_have_bounded_after_rekey():
     e = Engine(SEED_A, RekeyPolicy.fixed())
     assert e.have == BUF_SIZE - SEED_SIZE
+
+
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("u32"), st.just(0)),
+        st.tuples(st.just("buf"), st.integers(0, 64)),
+        st.tuples(
+            st.just("uniform"),
+            st.sampled_from([0, 1, 6, 100, 2**31 + 1, 2**32 - 1, 2**32]),
+        ),
+    ),
+    max_size=150,
+)
+_TINY_POLICIES = st.one_of(
+    st.integers(5, 40).map(RekeyPolicy.fixed),
+    st.integers(960, 1100).map(RekeyPolicy.fixed),
+    st.sampled_from([RekeyPolicy.fuzzed(base=8), RekeyPolicy.fuzzed(base=600)]),
+)
+
+
+@given(policy=_TINY_POLICIES, skip=st.integers(0, 1000), calls=_CALLS)
+@example(policy=RekeyPolicy.fixed(8), skip=0, calls=[("u32", 0), ("u32", 0), ("buf", 8)])
+@example(policy=RekeyPolicy.fixed(1000), skip=BUF_SIZE - SEED_SIZE - 4, calls=[("u32", 0), ("u32", 0)])
+@example(policy=RekeyPolicy.fixed(1000), skip=BUF_SIZE - SEED_SIZE - 3, calls=[("u32", 0), ("buf", 9)])
+@settings(max_examples=200, deadline=None)
+def test_fast_path_matches_bytewise_replay(policy, skip, calls):
+    # Budget-exact requests (count == n) and words ending at or straddling the
+    # buffer's last byte sit on the fast path's edges.
+    e = Engine(SEED_A, policy)
+    e.random_buf(skip)
+    got = []
+    for kind, arg in calls:
+        if kind == "u32":
+            got.append(e.random_u32())
+        elif kind == "buf":
+            got.append(e.random_buf(arg))
+        else:
+            got.append(uniform(e, arg))
+
+    r = Engine(SEED_A, policy)
+
+    def read(n):
+        return b"".join(r.random_buf(1) for _ in range(n))
+
+    def word():
+        return int.from_bytes(read(4), "little")
+
+    read(skip)
+    want = []
+    for kind, arg in calls:
+        if kind == "u32":
+            want.append(word())
+        elif kind == "buf":
+            want.append(read(arg))
+        else:
+            want.append(uniform_generic(word, arg))
+    assert got == want
+    assert e.events == r.events
+    assert e.total_out == r.total_out
+    assert e.snapshot() == r.snapshot()

@@ -66,6 +66,26 @@ def test_degenerate_bounds_consume_nothing():
     assert e.total_out == 0
 
 
+@pytest.mark.parametrize("bound", [-1, -(2**40), 2**32 + 1, 2**32 + 5, 2**33])
+def test_out_of_range_bounds_rejected_before_drawing(bound):
+    e = Engine(SEED, RekeyPolicy.fixed())
+    with pytest.raises(ValueError):
+        uniform(e, bound)
+    with pytest.raises(ValueError):
+        uniform_batch(e, bound, 10)
+    assert e.total_out == 0
+
+
+def test_full_word_bound_returns_words():
+    a = Engine(SEED, RekeyPolicy.fixed())
+    b = Engine(SEED, RekeyPolicy.fixed())
+    c = Engine(SEED, RekeyPolicy.fixed())
+    values, drawn = uniform_batch(a, 2**32, 50)
+    assert drawn == 50
+    assert list(values) == list(b.random_u32_batch(50))
+    assert list(values) == [uniform(c, 2**32) for _ in range(50)]
+
+
 def test_rejection_edge():
     threshold = min_accept(100, 32)
     feed = iter([threshold - 1, threshold])
