@@ -18,7 +18,7 @@ from .engine import (
     StaticEntropy,
     parse_seed_hex,
 )
-from .sampler import BoundedSpec, uniform, uniform_batch, uniform_generic
+from .sampler import uniform, uniform_batch, uniform_generic
 from .stats import (
     ChiSquareResult,
     Histogram,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUF_SIZE",
-    "BoundedSpec",
     "ChaCha20Stream",
     "ChiSquareResult",
     "CounterExhaustedError",

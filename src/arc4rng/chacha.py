@@ -1,10 +1,11 @@
 """ChaCha20 stream cipher, IETF variant (RFC 8439: 32-bit counter, 96-bit nonce).
 
 `quarter_round` and `chacha_block` are a plain-Python reference of the block
-function. `ChaCha20Stream` is the counter-advancing keystream context used by
-the RNG engine; for throughput it delegates bulk block generation to the
-`cryptography` package (OpenSSL), which uses the same state layout, and is
-cross-checked against the reference block function in the test suite.
+function. `ChaCha20Stream` is the keystream context used by the RNG engine: a
+byte-position count over one encryptor from the `cryptography` package
+(OpenSSL), which uses the same state layout and keeps the partial block
+itself. It is cross-checked against the reference block function in the test
+suite.
 """
 
 from __future__ import annotations
@@ -103,35 +104,32 @@ def chacha_block(key, counter, nonce):
 class ChaCha20Stream:
     """A keystream context owned by a single caller.
 
-    Tracks the block counter and buffers unused bytes of the current block, so
-    any sequence of request sizes consumes the keystream without gaps or
-    repeats. Exceeding 2^32 blocks under one key raises CounterExhaustedError
-    rather than wrapping.
+    One OpenSSL encryptor holds the cipher state, including the unused tail
+    of the current block: its output is byte-granular, so any sequence of
+    request sizes consumes the keystream without gaps or repeats. `position`
+    counts the keystream bytes consumed under the key, starting at
+    counter * BLOCK_SIZE. Going past 2^32 blocks under one key raises
+    CounterExhaustedError rather than wrapping.
     """
 
     def __init__(self, key, nonce, counter=0):
         initial_state(key, nonce=nonce, counter=counter)  # validate
         self.key = bytes(key)
         self.nonce = bytes(nonce)
-        self.block_counter = counter
-        self._partial = b""
-        self._encryptor = None
+        self.position = counter * BLOCK_SIZE
+        iv = struct.pack("<I", counter) + self.nonce
+        self._encryptor = Cipher(
+            algorithms.ChaCha20(self.key, iv), mode=None
+        ).encryptor()
 
     @property
-    def partial(self):
-        """Buffered unused keystream bytes from the current block (0-63)."""
-        return self._partial
+    def block_counter(self):
+        """Blocks the keystream has entered, a partly consumed one included."""
+        return -(-self.position // BLOCK_SIZE)
 
-    def _backend(self):
-        if self._encryptor is None:
-            iv = struct.pack("<I", self.block_counter) + self.nonce
-            self._encryptor = Cipher(
-                algorithms.ChaCha20(self.key, iv), mode=None
-            ).encryptor()
-        return self._encryptor
-
-    def _check_budget(self, nblocks):
-        if self.block_counter + nblocks > MAX_BLOCKS:
+    def _check(self, n):
+        """Raise unless n more keystream bytes fit under the key."""
+        if self.position + n > MAX_BLOCKS * BLOCK_SIZE:
             raise CounterExhaustedError(
                 "32-bit ChaCha block counter exhausted; rekey required"
             )
@@ -140,18 +138,7 @@ class ChaCha20Stream:
         """Return the next n keystream bytes, advancing the context."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        take = min(n, len(self._partial))
-        out = self._partial[:take]
-        self._partial = self._partial[take:]
-        need = n - take
-        if need == 0:
-            return out
-        nblocks = -(-need // BLOCK_SIZE)
-        self._check_budget(nblocks)
-        fresh = self._backend().update(bytes(nblocks * BLOCK_SIZE))
-        self.block_counter += nblocks
-        self._partial = fresh[need:]
-        return out + fresh[:need]
+        return self.xor(_zeros(n))
 
     def keystream_into(self, view):
         """Write the next len(view) keystream bytes into a writable buffer.
@@ -160,27 +147,14 @@ class ChaCha20Stream:
         copies for large requests.
         """
         n = len(view)
-        take = min(n, len(self._partial))
-        if take:
-            view[:take] = self._partial[:take]
-            self._partial = self._partial[take:]
-        need = n - take
-        if need == 0:
-            return
-        self._check_budget(-(-need // BLOCK_SIZE))
-        pos = take
-        full = (need // BLOCK_SIZE) * BLOCK_SIZE
-        if full:
-            self._backend().update_into(_zeros(full), view[pos : pos + full])
-            self.block_counter += full // BLOCK_SIZE
-            pos += full
-            need -= full
-        if need:
-            last = self._backend().update(bytes(BLOCK_SIZE))
-            self.block_counter += 1
-            view[pos : pos + need] = last[:need]
-            self._partial = last[need:]
+        self._check(n)
+        self._encryptor.update_into(_zeros(n), view)
+        self.position += n  # only once OpenSSL has accepted the buffer
 
     def xor(self, data):
-        """XOR data with the next len(data) keystream bytes."""
-        return bytes(a ^ b for a, b in zip(data, self.keystream(len(data))))
+        """XOR bytes-like data with the next len(data) keystream bytes."""
+        n = len(data)
+        self._check(n)
+        out = self._encryptor.update(data)
+        self.position += n
+        return out

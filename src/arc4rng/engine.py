@@ -107,18 +107,15 @@ class StaticEntropy:
         self._data = bytes(data)
 
     def read(self):
-        if len(self._data) != SEED_SIZE:
-            raise EntropyError(
-                f"seed source yielded {len(self._data)} bytes, need {SEED_SIZE}"
-            )
         return self._data
 
 
-class FailingEntropy:
-    """Seed source that always fails; exercises the reseed error path."""
-
-    def read(self):
-        raise EntropyError("entropy source unavailable")
+def _read_seed(source):
+    """SEED_SIZE bytes from a seed source, or EntropyError."""
+    seed = source.read()
+    if len(seed) != SEED_SIZE:
+        raise EntropyError(f"seed source yielded {len(seed)} bytes, need {SEED_SIZE}")
+    return seed
 
 
 def parse_seed_hex(seed_hex):
@@ -164,12 +161,7 @@ class Engine:
 
     @classmethod
     def from_source(cls, source, policy=None, **kw):
-        seed = source.read()
-        if len(seed) != SEED_SIZE:
-            raise EntropyError(
-                f"seed source yielded {len(seed)} bytes, need {SEED_SIZE}"
-            )
-        return cls(seed, policy, **kw)
+        return cls(_read_seed(source), policy, **kw)
 
     @property
     def have(self):
@@ -311,20 +303,15 @@ class Engine:
         whatever the entropy. On source failure the error propagates and the
         engine keeps working with its current key.
         """
-        fresh = source.read()
-        if len(fresh) != SEED_SIZE:
-            raise EntropyError(
-                f"seed source yielded {len(fresh)} bytes, need {SEED_SIZE}"
-            )
-        self._rekey(fresh)
+        self._rekey(_read_seed(source))
 
     def snapshot(self):
-        """Serialize the secret-bearing state (for key-erasure checks)."""
+        """Serialize the secret-bearing state (for key-erasure checks): the
+        cipher's key, nonce and keystream position, then the buffer."""
         return (
             self._cipher.key
             + self._cipher.nonce
-            + struct.pack("<I", self._cipher.block_counter)
-            + self._cipher.partial
+            + struct.pack("<Q", self._cipher.position)
             + bytes(self._buf)
         )
 

@@ -7,8 +7,6 @@ can be tested by exhaustive enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -20,24 +18,6 @@ def min_accept(upper_bound, width=32):
     if upper_bound < 1:
         raise ValueError("upper_bound must be >= 1")
     return ((1 << width) - upper_bound) % upper_bound
-
-
-@dataclass(frozen=True)
-class BoundedSpec:
-    """A bounded-uniform draw: exclusive upper bound at a given word width."""
-
-    upper_bound: int
-    width: int = 32
-
-    def __post_init__(self):
-        if not 1 <= self.width <= 32:
-            raise ValueError("width must be in 1..32")
-        if not 0 <= self.upper_bound <= (1 << self.width):
-            raise ValueError("upper_bound does not fit the word width")
-
-    @property
-    def min_accept(self):
-        return min_accept(self.upper_bound, self.width)
 
 
 def uniform_generic(draw, upper_bound, width=32):

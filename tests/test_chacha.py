@@ -5,6 +5,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arc4rng.chacha import (
     BLOCK_SIZE,
@@ -151,11 +153,39 @@ def test_stream_matches_reference_blocks():
     assert ctx.keystream(192) == expected
 
 
-def test_stream_chunking_invariance():
-    one_shot = ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(150)
-    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE)
-    split = ctx.keystream(3) + ctx.keystream(64) + ctx.keystream(83)
-    assert split == one_shot
+def _read(ctx, method, k):
+    if method == "keystream":
+        return ctx.keystream(k)
+    if method == "keystream_into":
+        out = bytearray(k)
+        ctx.keystream_into(memoryview(out))
+        return bytes(out)
+    return ctx.xor(bytes(k))
+
+
+@given(
+    counter=st.integers(0, MAX_BLOCKS - 200),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["keystream", "keystream_into", "xor"]),
+            st.integers(0, 200),
+        ),
+        max_size=30,
+    ),
+)
+@example(counter=0, calls=[("keystream", 3), ("keystream", 64), ("keystream", 83)])
+@settings(max_examples=100, deadline=None)
+def test_stream_chunking_invariance(counter, calls):
+    # Any interleaving of the three methods, at any byte offset, reads the
+    # reference block function's output in order.
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, counter)
+    got = b"".join(_read(ctx, method, k) for method, k in calls)
+    nblocks = -(-len(got) // BLOCK_SIZE)
+    want = b"".join(
+        chacha_block(RFC_KEY, counter + i, RFC_NONCE) for i in range(nblocks)
+    )
+    assert got == want[: len(got)]
+    assert ctx.position == counter * BLOCK_SIZE + len(got)
 
 
 def test_xor_identity_and_round_trip():
@@ -175,7 +205,18 @@ def test_counter_accounting():
     for n in (1, 63, 64, 65, 7, 200):
         ctx.keystream(n)
         served += n
-        assert ctx.block_counter * BLOCK_SIZE - len(ctx.partial) == served
+        assert ctx.position == served
+        assert ctx.block_counter == -(-served // BLOCK_SIZE)
+
+
+def test_rejected_buffer_leaves_position():
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE)
+    with pytest.raises(TypeError):
+        ctx.xor([1, 2, 3])
+    with pytest.raises(TypeError):
+        ctx.keystream_into(memoryview(bytes(8)))  # read-only
+    assert ctx.position == 0
+    assert ctx.keystream(64) == chacha_block(RFC_KEY, 0, RFC_NONCE)
 
 
 def test_counter_exhaustion_is_an_error():
@@ -183,3 +224,10 @@ def test_counter_exhaustion_is_an_error():
     ctx.keystream(64)  # last block is fine
     with pytest.raises(CounterExhaustedError):
         ctx.keystream(1)
+
+    # The same limit reached at unaligned offsets.
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, counter=MAX_BLOCKS - 1)
+    ctx.xor(bytes(5))
+    ctx.keystream_into(memoryview(bytearray(59)))
+    with pytest.raises(CounterExhaustedError):
+        ctx.xor(bytes(1))

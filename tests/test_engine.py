@@ -21,7 +21,6 @@ from arc4rng.engine import (
     SEED_SIZE,
     Engine,
     EntropyError,
-    FailingEntropy,
     OsEntropy,
     RekeyPolicy,
     StaticEntropy,
@@ -31,6 +30,13 @@ from arc4rng.sampler import uniform, uniform_generic
 
 ZERO_SEED = bytes(SEED_SIZE)
 SEED_A = bytes(range(SEED_SIZE))
+
+
+class FailingEntropy:
+    """Seed source that always fails; exercises the reseed error path."""
+
+    def read(self):
+        raise EntropyError("entropy source unavailable")
 
 
 def test_policy_validation():
@@ -292,8 +298,10 @@ def test_reseed_failure_leaves_engine_usable():
         def read(self):
             return b"tiny"
 
-    with pytest.raises(EntropyError):
-        a.reseed(ShortSource())
+    for short in (ShortSource(), StaticEntropy(b"tiny")):
+        with pytest.raises(EntropyError):
+            a.reseed(short)
+        assert a.snapshot() == b.snapshot()
     a.random_u32()  # still works
 
 
@@ -306,8 +314,9 @@ def test_from_source_and_from_hex():
         def read(self):
             return b"tiny"
 
-    with pytest.raises(EntropyError):
-        Engine.from_source(ShortSource())
+    for short in (ShortSource(), StaticEntropy(b"tiny")):
+        with pytest.raises(EntropyError):
+            Engine.from_source(short)
 
 
 def test_events_csv_schema():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from arc4rng.engine import SEED_SIZE, Engine, RekeyPolicy
 from arc4rng.sampler import (
-    BoundedSpec,
     min_accept,
     uniform,
     uniform_batch,
@@ -40,17 +39,6 @@ def test_min_accept_values():
     assert min_accept(100, 32) == 96
     with pytest.raises(ValueError):
         min_accept(0, 8)
-
-
-def test_bounded_spec_validation():
-    spec = BoundedSpec(100, 32)
-    assert spec.min_accept == 96
-    with pytest.raises(ValueError):
-        BoundedSpec(100, 0)
-    with pytest.raises(ValueError):
-        BoundedSpec(100, 33)
-    with pytest.raises(ValueError):
-        BoundedSpec(1 << 9, 8)
 
 
 def test_degenerate_bounds_consume_nothing():
