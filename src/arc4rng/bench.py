@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import sampler
 from .engine import Engine, RekeyPolicy
@@ -27,14 +27,7 @@ class RunMeasurement:
     seed_hex: str
 
     def to_dict(self):
-        return {
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "rekeys": self.rekeys,
-            "bytes": self.bytes,
-            "policy": self.policy,
-            "seed_hex": self.seed_hex,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -44,11 +37,7 @@ class BenchReport:
     mean_cpu_s: float
 
     def to_dict(self):
-        return {
-            "runs": [r.to_dict() for r in self.runs],
-            "mean_wall_s": self.mean_wall_s,
-            "mean_cpu_s": self.mean_cpu_s,
-        }
+        return asdict(self)
 
     def to_json(self, **kw):
         return json.dumps(self.to_dict(), **kw)
@@ -139,13 +128,4 @@ def comparison_csv(rows):
 
 
 def comparison_dicts(rows):
-    return [
-        {
-            "metric": r.metric,
-            "reference_s": r.reference_s,
-            "candidate_s": r.candidate_s,
-            "reduction_pct": r.reduction_pct,
-            "increase_pct": r.increase_pct,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]

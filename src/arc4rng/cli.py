@@ -13,6 +13,8 @@ import sys
 
 from . import bench, sampler, stats
 from .engine import (
+    DEFAULT_FIXED_INTERVAL,
+    DEFAULT_REKEY_BASE,
     SEED_SIZE,
     Engine,
     EntropyError,
@@ -39,10 +41,14 @@ def _resolve_seed(seed_arg):
         raise UsageError(str(exc)) from None
 
 
-def _resolve_policy(args):
-    if args.policy == "fixed":
-        return RekeyPolicy.fixed(args.fixed_interval)
-    return RekeyPolicy.fuzzed(args.rekey_base)
+def _policy(mode, args):
+    """The RekeyPolicy for mode and the budget options the subcommand has; a
+    budget out of range is a usage error."""
+    budgets = {k: v for k, v in vars(args).items() if k in ("fixed_interval", "rekey_base")}
+    try:
+        return RekeyPolicy(mode, **budgets)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _derive_run_seed(seed, run_index):
@@ -53,69 +59,56 @@ def _derive_run_seed(seed, run_index):
     ).digest()
 
 
-def _add_common(parser):
-    parser.add_argument(
-        "--seed",
+_OPTIONS = {
+    "--seed": dict(
         default="os",
         help=f'{2 * SEED_SIZE} hex chars, or "os" for platform entropy (default)',
-    )
-    parser.add_argument(
-        "--policy", choices=("fixed", "fuzzed"), default="fuzzed"
-    )
-    parser.add_argument(
-        "--fixed-interval",
+    ),
+    "--policy": dict(choices=("fixed", "fuzzed"), default="fuzzed"),
+    "--fixed-interval": dict(
         type=int,
-        default=1_600_000,
+        default=DEFAULT_FIXED_INTERVAL,
         metavar="BYTES",
-        help="rekey budget for the fixed policy (default 1600000)",
-    )
-    parser.add_argument(
-        "--rekey-base",
+        help="rekey budget for the fixed policy (default %(default)s)",
+    ),
+    "--rekey-base": dict(
         type=int,
-        default=1 << 20,
+        default=DEFAULT_REKEY_BASE,
         metavar="BYTES",
-        help="REKEY_BASE for the fuzzed policy (default 2^20)",
-    )
+        help="REKEY_BASE for the fuzzed policy (default %(default)s)",
+    ),
+}
 
 
-def _open_out(path):
+def _add_options(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
+
+
+def _open_out(path, binary=False):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return (sys.stdout.buffer if binary else sys.stdout), False
+    return open(path, "wb" if binary else "w"), True
 
 
 def cmd_gen(args):
     if args.count <= 0:
         raise UsageError("--count must be positive")
-    seed = _resolve_seed(args.seed)
-    engine = Engine(seed, _resolve_policy(args))
-    if args.raw:
-        to_file = args.output is not None and args.output != "-"
-        stream = open(args.output, "wb") if to_file else sys.stdout.buffer
-        try:
-            remaining = args.count
-            while remaining:
-                n = min(remaining, 1 << 20)
-                stream.write(engine.random_u32_batch(n).tobytes())
-                remaining -= n
-        finally:
-            if to_file:
-                stream.close()
-    else:
-        out, close = _open_out(args.output)
-        try:
-            remaining = args.count
-            while remaining:
-                n = min(remaining, 1 << 20)
-                out.write("\n".join(map(str, engine.random_u32_batch(n))))
-                out.write("\n")
-                remaining -= n
-        finally:
-            if close:
-                out.close()
+    engine = Engine(_resolve_seed(args.seed), _policy(args.policy, args))
+    out, close = _open_out(args.output, args.raw)
+    try:
+        remaining = args.count
+        while remaining:
+            n = min(remaining, 1 << 20)
+            values = engine.random_u32_batch(n)
+            out.write(values.tobytes() if args.raw else "\n".join(map(str, values)) + "\n")
+            remaining -= n
+    finally:
+        if close:
+            out.close()
     if args.events:
         with open(args.events, "w") as f:
-            f.write(engine.events_csv())
+            f.write(events_to_csv(engine.events))
     return 0
 
 
@@ -124,8 +117,7 @@ def cmd_chisq(args):
         raise UsageError("--count must be positive")
     if args.bins < 2:
         raise UsageError("--bins must be at least 2")
-    seed = _resolve_seed(args.seed)
-    engine = Engine(seed, _resolve_policy(args))
+    engine = Engine(_resolve_seed(args.seed), _policy(args.policy, args))
     values, _ = sampler.uniform_batch(engine, args.bins, args.count)
     hist = stats.Histogram.categorical(values, args.bins)
     expected = [args.count / args.bins] * args.bins
@@ -147,9 +139,9 @@ def cmd_compare(args):
         raise UsageError("--count must be positive")
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
+    fixed = _policy("fixed", args)
+    fuzzed = _policy("fuzzed", args)
     seed = _resolve_seed(args.seed)
-    fixed = RekeyPolicy.fixed(args.fixed_interval)
-    fuzzed = RekeyPolicy.fuzzed(args.rekey_base)
     reports = {}
     for policy in (fixed, fuzzed):
         runs = [
@@ -181,20 +173,16 @@ def cmd_compare(args):
 
 
 def cmd_intervals(args):
-    if args.policy == "fixed":
-        raise UsageError(
-            "intervals requires --policy fuzzed (fixed intervals are constant)"
-        )
-    if args.rekeys < 1:
-        raise UsageError("--rekeys must be positive")
     if args.bins < 2:
         raise UsageError("--bins must be at least 2")
-    seed = _resolve_seed(args.seed)
-    engine = Engine(seed, RekeyPolicy.fuzzed(args.rekey_base))
-    # Drain exactly the current budget each round; the next request rekeys.
+    need = stats.MIN_EVENTS_PER_BIN * args.bins
+    if args.rekeys < need:
+        raise UsageError(f"--rekeys must be at least {need} for {args.bins} bins")
+    engine = Engine(_resolve_seed(args.seed), _policy("fuzzed", args))
+    # Each discard drains exactly the current budget, which ends in one rekey.
     while engine.rekey_count < args.rekeys:
-        engine.discard(max(engine.count, 1))
-    events = engine.events[: args.rekeys]
+        engine.discard(engine.count)
+    events = engine.events
     result = stats.interval_uniformity_test(events, args.rekey_base, args.bins)
     if args.output and args.output != "-":
         with open(args.output, "w") as f:
@@ -217,7 +205,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit random 32-bit values")
-    _add_common(p)
+    _add_options(p, "--seed", "--policy", "--fixed-interval", "--rekey-base")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--raw", action="store_true", help="binary output instead of decimal lines")
     p.add_argument("--events", metavar="CSV", help="also write the rekey-event log")
@@ -225,14 +213,14 @@ def build_parser():
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("chisq", help="chi-square goodness of fit on bounded draws")
-    _add_common(p)
+    _add_options(p, "--seed", "--policy", "--fixed-interval", "--rekey-base")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--bins", type=int, default=100, metavar="K")
     p.add_argument("--output", "-o", metavar="FILE")
     p.set_defaults(func=cmd_chisq)
 
     p = sub.add_parser("compare", help="fixed-vs-fuzzed generation benchmark table")
-    _add_common(p)
+    _add_options(p, "--seed", "--fixed-interval", "--rekey-base")
     p.add_argument("--count", type=int, default=39_600_000, metavar="N")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -240,7 +228,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("intervals", help="dump fuzzed rekey intervals + uniformity test")
-    _add_common(p)
+    _add_options(p, "--seed", "--rekey-base")
     p.add_argument("--rekeys", type=int, default=10_000, metavar="N")
     p.add_argument("--bins", type=int, default=16, metavar="K")
     p.add_argument("--output", "-o", metavar="FILE", help="interval CSV destination")

@@ -140,9 +140,12 @@ class Engine:
     cipher only ever advances by whole BUF_SIZE refills (plus the fuzz word
     after a rekey), whichever path serves a request, so each rekey takes its
     key from the same stream position.
+
+    `events` always holds one RekeyEvent per rekey, the initial stir
+    included; `rekey_count` is its length.
     """
 
-    def __init__(self, seed, policy=None, log_events=True):
+    def __init__(self, seed, policy=None):
         if len(seed) != SEED_SIZE:
             raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
         self.policy = policy if policy is not None else RekeyPolicy.fuzzed()
@@ -152,26 +155,19 @@ class Engine:
         self._pos = BUF_SIZE  # buffer starts empty
         self.count = 0
         self.total_out = 0
-        self.events = [] if log_events else None
+        self.events = []
         self._rekey()  # initial stir: the seed never keys output directly
 
     @classmethod
-    def from_hex(cls, seed_hex, policy=None, **kw):
-        return cls(parse_seed_hex(seed_hex), policy, **kw)
+    def from_hex(cls, seed_hex, policy=None):
+        return cls(parse_seed_hex(seed_hex), policy)
 
     @classmethod
-    def from_source(cls, source, policy=None, **kw):
-        return cls(_read_seed(source), policy, **kw)
-
-    @property
-    def have(self):
-        """Unconsumed valid bytes in the buffer."""
-        return BUF_SIZE - self._pos
+    def from_source(cls, source, policy=None):
+        return cls(_read_seed(source), policy)
 
     @property
     def rekey_count(self):
-        if self.events is None:
-            raise ValueError("event logging is disabled")
         return len(self.events)
 
     def _rekey(self, entropy=None):
@@ -187,10 +183,7 @@ class Engine:
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
         self._pos = SEED_SIZE
         self.count = self._next_interval()
-        if self.events is not None:
-            self.events.append(
-                RekeyEvent(len(self.events), self.total_out, self.count)
-            )
+        self.events.append(RekeyEvent(len(self.events), self.total_out, self.count))
 
     def _next_interval(self):
         if self.policy.mode == "fixed":
@@ -199,50 +192,36 @@ class Engine:
         fuzz = _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0]
         return self.policy.rekey_base + fuzz % self.policy.rekey_base
 
-    def _serve_into(self, view):
-        """Fill view from the buffer/keystream without touching the budget.
-
-        Once the buffer is drained, whole multiples of BUF_SIZE go straight
-        from the keystream and the remainder through a buffer refill, so the
-        cipher advances exactly as if every byte had been staged through the
-        buffer.
-        """
-        pos = 0
-        m = len(view)
-        while m:
-            have = BUF_SIZE - self._pos
-            if have:
-                take = min(have, m)
-                view[pos : pos + take] = self._view[self._pos : self._pos + take]
-                self._pos += take
-                pos += take
-                m -= take
-            elif m >= BUF_SIZE:
-                direct = m - m % BUF_SIZE
-                self._cipher.keystream_into(view[pos : pos + direct])
-                pos += direct
-                m -= direct
-            else:
-                self._cipher.keystream_into(self._view)
-                self._pos = 0
-
     def _fill(self, view):
         """Fill view with output, rekeying at every budget exhaustion.
 
-        The rekey fires at the exact output byte where the budget hits zero,
-        even mid-request, so the output stream and the event log depend only
-        on (seed, policy), never on how requests are chunked.
+        Bytes come from the buffer first. Once it is drained, whole multiples
+        of BUF_SIZE go straight from the keystream and the remainder through a
+        buffer refill, so the cipher advances exactly as if every byte had
+        been staged through the buffer. The rekey fires at the exact output
+        byte where the budget hits zero, even mid-request, so the output
+        stream and the event log depend only on (seed, policy), never on how
+        requests are chunked.
         """
         pos = 0
-        remaining = len(view)
-        while remaining:
-            m = min(remaining, self.count)
-            self._serve_into(view[pos : pos + m])
-            self.count -= m
-            self.total_out += m
-            pos += m
-            remaining -= m
-            if self.count <= 0:
+        n = len(view)
+        while pos < n:
+            take = min(n - pos, self.count)
+            if self._pos < BUF_SIZE:
+                take = min(take, BUF_SIZE - self._pos)
+                view[pos : pos + take] = self._view[self._pos : self._pos + take]
+                self._pos += take
+            elif take >= BUF_SIZE:
+                take -= take % BUF_SIZE
+                self._cipher.keystream_into(view[pos : pos + take])
+            else:
+                self._cipher.keystream_into(self._view)
+                self._pos = 0
+                continue
+            pos += take
+            self.count -= take
+            self.total_out += take
+            if self.count == 0:
                 self._rekey()
 
     def random_buf(self, n):
@@ -314,8 +293,3 @@ class Engine:
             + struct.pack("<Q", self._cipher.position)
             + bytes(self._buf)
         )
-
-    def events_csv(self):
-        if self.events is None:
-            raise ValueError("event logging is disabled")
-        return events_to_csv(self.events)

@@ -8,7 +8,7 @@ modified Lentz continued fraction otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,11 +113,7 @@ class ChiSquareResult:
     p_value: float
 
     def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-        }
+        return asdict(self)
 
 
 def chi_square_statistic(observed, expected):
@@ -139,6 +135,9 @@ def chi_square_test(observed, expected):
     return ChiSquareResult(statistic, df, chi_square_p_value(statistic, df))
 
 
+MIN_EVENTS_PER_BIN = 10
+
+
 def interval_uniformity_test(events, base, k=16):
     """Chi-square uniformity of fuzzed rekey intervals over [base, 2*base).
 
@@ -148,8 +147,9 @@ def interval_uniformity_test(events, base, k=16):
     if k < 2:
         raise ValueError("k must be >= 2")
     intervals = [getattr(e, "interval_chosen", e) for e in events]
-    if len(intervals) < 10 * k:
-        raise ValueError(f"need at least {10 * k} events for {k} bins, got {len(intervals)}")
+    need = MIN_EVENTS_PER_BIN * k
+    if len(intervals) < need:
+        raise ValueError(f"need at least {need} events for {k} bins, got {len(intervals)}")
     for iv in intervals:
         if not base <= iv < 2 * base:
             raise ValueError(f"interval {iv} outside [{base}, {2 * base})")

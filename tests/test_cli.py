@@ -5,7 +5,7 @@ import json
 import pytest
 
 from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, main
-from arc4rng.engine import SEED_SIZE, Engine, RekeyPolicy
+from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
 ZERO_SEED = "00" * SEED_SIZE
@@ -143,11 +143,46 @@ def test_compare_bad_runs_is_usage_error(capsys):
 
 
 def test_intervals_fixed_policy_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "intervals", "--policy", "fixed", "--seed", ZERO_SEED
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["intervals", "--policy", "fixed", "--seed", ZERO_SEED])
+    assert exc.value.code == EXIT_USAGE
+    assert "--policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--policy", "fixed"],
+        ["intervals", "--fixed-interval", "7"],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", ZERO_SEED])
+    assert exc.value.code == EXIT_USAGE
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "5", "--fixed-interval", "0"],
+        ["gen", "--count", "5", "--policy", "fixed", "--fixed-interval", "0"],
+        ["chisq", "--count", "100", "--rekey-base", "0"],
+        ["compare", "--count", "100", "--fixed-interval", str(MAX_BUDGET + 1)],
+        ["compare", "--count", "100", "--rekey-base", str(MAX_BUDGET)],
+        ["intervals", "--rekey-base", "-1"],
+        ["intervals", "--rekeys", "100", "--bins", "16"],
+    ],
+)
+def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built before the options were checked")
+
+    monkeypatch.setattr(Engine, "__init__", no_engine)
+    code, _, err = run_cli(capsys, *argv, "--seed", ZERO_SEED)
     assert code == EXIT_USAGE
-    assert "fuzzed" in err
+    assert err.startswith("error: ")
 
 
 def test_intervals_outputs(tmp_path, capsys):

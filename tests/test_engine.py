@@ -24,6 +24,7 @@ from arc4rng.engine import (
     OsEntropy,
     RekeyPolicy,
     StaticEntropy,
+    events_to_csv,
     parse_seed_hex,
 )
 from arc4rng.sampler import uniform, uniform_generic
@@ -197,9 +198,15 @@ def test_random_buf_edge_cases():
         e.random_buf(-1)
 
 
+def _accounting(e):
+    return e.count, e.total_out, e._pos, e._cipher.position
+
+
 def test_chunking_invariance_random_partitions():
     # Budgets above BUF_SIZE + (BUF_SIZE - SEED_SIZE) and chunks of BUF_SIZE
-    # or more take the direct keystream path on both sides of a rekey.
+    # or more take the direct keystream path on both sides of a rekey. After
+    # every chunk the accounting equals that of an engine fed the same prefix
+    # one byte at a time.
     rng = random.Random(42)
     for policy in (
         RekeyPolicy.fuzzed(base=700),
@@ -208,6 +215,11 @@ def test_chunking_invariance_random_partitions():
     ):
         ref = Engine(SEED_A, policy)
         reference = ref.random_buf(20_000)
+        bytewise = Engine(SEED_A, policy)
+        states = [_accounting(bytewise)]
+        for _ in range(20_000):
+            bytewise.random_buf(1)
+            states.append(_accounting(bytewise))
         for _ in range(20):
             e = Engine(SEED_A, policy)
             got = []
@@ -217,6 +229,7 @@ def test_chunking_invariance_random_partitions():
                 k = min(k, remaining)
                 got.append(e.random_buf(k))
                 remaining -= k
+                assert _accounting(e) == states[20_000 - remaining]
             assert b"".join(got) == reference
             assert e.events == ref.events
 
@@ -322,24 +335,15 @@ def test_from_source_and_from_hex():
 def test_events_csv_schema():
     e = Engine(SEED_A, RekeyPolicy.fuzzed(base=512))
     e.random_buf(3000)
-    lines = e.events_csv().strip().split("\n")
+    lines = events_to_csv(e.events).strip().split("\n")
     assert lines[0] == "ordinal,output_offset,interval_chosen"
     assert lines[1].startswith("0,0,")
     assert len(lines) == len(e.events) + 1
 
 
-def test_event_logging_can_be_disabled():
-    e = Engine(SEED_A, RekeyPolicy.fixed(), log_events=False)
-    e.random_buf(100)
-    with pytest.raises(ValueError):
-        e.events_csv()
-    with pytest.raises(ValueError):
-        _ = e.rekey_count
-
-
 def test_have_bounded_after_rekey():
     e = Engine(SEED_A, RekeyPolicy.fixed())
-    assert e.have == BUF_SIZE - SEED_SIZE
+    assert e._pos == SEED_SIZE
 
 
 _CALLS = st.lists(
