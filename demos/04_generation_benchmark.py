@@ -1,9 +1,11 @@
 """Generation-time benchmark: fixed vs randomized rekey interval.
 
 Times the production of 39.6M 32-bit values (about 151 MiB) under each
-policy, repeats with matched seeds, and prints the two-column percent table:
-"reduction in time" is relative to the reference (fixed), "increase in
-performance" relative to the candidate (fuzzed).
+policy with bench.compare_policies: one untimed warm-up run, then for each
+seed a fixed run followed at once by a fuzzed run with the same seed. Prints
+the per-run times and the two-column percent table: "reduction in time" is
+relative to the reference (fixed), "increase in performance" relative to the
+candidate (fuzzed).
 
 Run: python3 demos/04_generation_benchmark.py [runs]
 """
@@ -12,7 +14,7 @@ import hashlib
 import sys
 
 from arc4rng import RekeyPolicy, SEED_SIZE
-from arc4rng.bench import aggregate, compare, run_generation_bench
+from arc4rng.bench import compare, compare_policies
 
 runs = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 N = 39_600_000
@@ -22,22 +24,13 @@ def seed(i):
     return hashlib.blake2b(f"bench:{i}".encode(), digest_size=SEED_SIZE).digest()
 
 
-fixed = RekeyPolicy.fixed()
-fuzzed = RekeyPolicy.fuzzed()
+ref, cand = compare_policies(
+    N, [seed(i) for i in range(runs)], RekeyPolicy.fixed(), RekeyPolicy.fuzzed()
+)
+for i, (f, z) in enumerate(zip(ref.runs, cand.runs)):
+    print(f"run {i}: fixed {f.wall_s:.3f}s ({f.rekeys} rekeys), "
+          f"fuzzed {z.wall_s:.3f}s ({z.rekeys} rekeys)")
 
-run_generation_bench(N, fixed, seed(-1))  # warmup, untimed
-
-fixed_runs, fuzzed_runs = [], []
-for i in range(runs):
-    fixed_runs.append(run_generation_bench(N, fixed, seed(i)))
-    fuzzed_runs.append(run_generation_bench(N, fuzzed, seed(i)))
-    print(f"run {i}: fixed {fixed_runs[-1].wall_s:.3f}s "
-          f"({fixed_runs[-1].rekeys} rekeys), "
-          f"fuzzed {fuzzed_runs[-1].wall_s:.3f}s "
-          f"({fuzzed_runs[-1].rekeys} rekeys)")
-
-ref = aggregate(fixed_runs)
-cand = aggregate(fuzzed_runs)
 print()
 print(f"mean wall: fixed {ref.mean_wall_s:.4f}s, fuzzed {cand.mean_wall_s:.4f}s")
 print()

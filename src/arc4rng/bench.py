@@ -1,20 +1,17 @@
 """Generation-time benchmarks and two-column percent comparison tables.
 
-A run times the production of n 32-bit values (raw, or bounded via rejection
-sampling) and records the engine's rekey count. Runs aggregate to means, and
-two reports compare as "reduction in time" (relative to the reference) and
-"increase in performance" (relative to the candidate), the pair satisfying
-(1 - r/100) * (1 + i/100) = 1.
+A run times the production of n raw 32-bit values and records the engine's
+rekey count. Runs aggregate to means, and two reports compare as "reduction
+in time" (relative to the reference) and "increase in performance" (relative
+to the candidate), the pair satisfying (1 - r/100) * (1 + i/100) = 1.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 
-from . import sampler
-from .engine import Engine, RekeyPolicy
+from .engine import Engine
 
 
 @dataclass
@@ -26,9 +23,6 @@ class RunMeasurement:
     policy: str
     seed_hex: str
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class BenchReport:
@@ -39,12 +33,9 @@ class BenchReport:
     def to_dict(self):
         return asdict(self)
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
-
-def run_generation_bench(n_integers, policy, seed, bound=None):
-    """Time one generation run; bound=None means raw 32-bit values.
+def run_generation_bench(n_integers, policy, seed):
+    """Time one run generating n_integers raw 32-bit values.
 
     Engine construction is excluded from the timing; it is O(1) next to the
     workload.
@@ -54,10 +45,7 @@ def run_generation_bench(n_integers, policy, seed, bound=None):
     engine = Engine(seed, policy)
     t0_wall = time.perf_counter()
     t0_cpu = time.process_time()
-    if bound is None:
-        engine.random_u32_batch(n_integers)
-    else:
-        sampler.uniform_batch(engine, bound, n_integers)
+    engine.random_u32_batch(n_integers)
     wall = time.perf_counter() - t0_wall
     cpu = time.process_time() - t0_cpu
     return RunMeasurement(
@@ -80,6 +68,24 @@ def aggregate(runs):
         mean_wall_s=sum(r.wall_s for r in runs) / len(runs),
         mean_cpu_s=sum(r.cpu_s for r in runs) / len(runs),
     )
+
+
+def compare_policies(n_integers, seeds, reference, candidate):
+    """The paper's comparison: (reference report, candidate report).
+
+    One untimed warm-up run (reference policy, first seed) absorbs allocator
+    and page-cache effects. Then each seed runs under the reference policy
+    and at once under the candidate, so host drift hits both alike and the
+    two reports use matched seeds.
+    """
+    if not seeds:
+        raise ValueError("need at least one seed")
+    run_generation_bench(n_integers, reference, seeds[0])
+    ref_runs, cand_runs = [], []
+    for seed in seeds:
+        ref_runs.append(run_generation_bench(n_integers, reference, seed))
+        cand_runs.append(run_generation_bench(n_integers, candidate, seed))
+    return aggregate(ref_runs), aggregate(cand_runs)
 
 
 @dataclass

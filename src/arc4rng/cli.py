@@ -7,6 +7,7 @@ Exit status: 0 on success, 2 for usage errors, 1 for runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -85,27 +86,28 @@ def _add_options(parser, *names):
         parser.add_argument(name, **_OPTIONS[name])
 
 
-def _open_out(path, binary=False):
+@contextlib.contextmanager
+def _output(path, binary=False):
+    """The file at path, opened for writing and closed on exit; stdout for
+    None or "-"."""
     if path is None or path == "-":
-        return (sys.stdout.buffer if binary else sys.stdout), False
-    return open(path, "wb" if binary else "w"), True
+        yield sys.stdout.buffer if binary else sys.stdout
+    else:
+        with open(path, "wb" if binary else "w") as f:
+            yield f
 
 
 def cmd_gen(args):
     if args.count <= 0:
         raise UsageError("--count must be positive")
     engine = Engine(_resolve_seed(args.seed), _policy(args.policy, args))
-    out, close = _open_out(args.output, args.raw)
-    try:
+    with _output(args.output, args.raw) as out:
         remaining = args.count
         while remaining:
             n = min(remaining, 1 << 20)
             values = engine.random_u32_batch(n)
             out.write(values.tobytes() if args.raw else "\n".join(map(str, values)) + "\n")
             remaining -= n
-    finally:
-        if close:
-            out.close()
     if args.events:
         with open(args.events, "w") as f:
             f.write(events_to_csv(engine.events))
@@ -124,13 +126,9 @@ def cmd_chisq(args):
     result = stats.chi_square_test(hist, expected)
     payload = result.to_dict()
     payload["rekeys"] = engine.rekey_count
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(payload, out)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -142,33 +140,22 @@ def cmd_compare(args):
     fixed = _policy("fixed", args)
     fuzzed = _policy("fuzzed", args)
     seed = _resolve_seed(args.seed)
-    reports = {}
-    for policy in (fixed, fuzzed):
-        runs = [
-            bench.run_generation_bench(
-                args.count, policy, _derive_run_seed(seed, i)
-            )
-            for i in range(args.runs)
-        ]
-        reports[policy.mode] = bench.aggregate(runs)
-    rows = bench.compare(reports["fixed"], reports["fuzzed"])
-    out, close = _open_out(args.output)
-    try:
+    seeds = [_derive_run_seed(seed, i) for i in range(args.runs)]
+    reference, candidate = bench.compare_policies(args.count, seeds, fixed, fuzzed)
+    rows = bench.compare(reference, candidate)
+    with _output(args.output) as out:
         if args.format == "csv":
             out.write(bench.comparison_csv(rows))
         else:
             json.dump(
                 {
-                    "reference": reports["fixed"].to_dict(),
-                    "candidate": reports["fuzzed"].to_dict(),
+                    "reference": reference.to_dict(),
+                    "candidate": candidate.to_dict(),
                     "comparison": bench.comparison_dicts(rows),
                 },
                 out,
             )
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -184,15 +171,12 @@ def cmd_intervals(args):
         engine.discard(engine.count)
     events = engine.events
     result = stats.interval_uniformity_test(events, args.rekey_base, args.bins)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as f:
-            f.write(events_to_csv(events))
-        json.dump(result.to_dict(), sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(events_to_csv(events))
-        json.dump(result.to_dict(), sys.stderr)
-        sys.stderr.write("\n")
+    with _output(args.output) as out:
+        out.write(events_to_csv(events))
+    # The JSON result goes to whichever stream the CSV did not take.
+    report = sys.stderr if out is sys.stdout else sys.stdout
+    json.dump(result.to_dict(), report)
+    report.write("\n")
     return 0
 
 

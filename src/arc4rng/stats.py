@@ -98,9 +98,12 @@ class Histogram:
         """Bin values into k equal sub-ranges of [lo, hi)."""
         if k < 2:
             raise ValueError("k must be >= 2")
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size and (arr.min() < lo or arr.max() >= hi):
-            raise ValueError(f"value outside [{lo}, {hi})")
+        raw = np.asarray(values)
+        if raw.size and raw.min() < lo:
+            raise ValueError(f"minimum {raw.min()} outside [{lo}, {hi})")
+        if raw.size and raw.max() >= hi:
+            raise ValueError(f"maximum {raw.max()} outside [{lo}, {hi})")
+        arr = raw.astype(np.float64)
         idx = ((arr - lo) * k / (hi - lo)).astype(np.int64)
         counts = np.bincount(idx, minlength=k)
         return cls(bins=[int(c) for c in counts])
@@ -150,9 +153,6 @@ def interval_uniformity_test(events, base, k=16):
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:
         raise ValueError(f"need at least {need} events for {k} bins, got {len(intervals)}")
-    for iv in intervals:
-        if not base <= iv < 2 * base:
-            raise ValueError(f"interval {iv} outside [{base}, {2 * base})")
     hist = Histogram.range_partition(intervals, base, 2 * base, k)
     expected = [len(intervals) / k] * k
     return chi_square_test(hist, expected)

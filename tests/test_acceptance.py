@@ -106,19 +106,14 @@ def test_criterion_6_performance_parity():
     assert round(row.increase_pct) == 10
 
     # Mean wall-time parity over 10 runs per policy, interleaved so machine
-    # drift hits both policies alike. One untimed warmup absorbs allocator
-    # and page-cache effects.
-    bench.run_generation_bench(N_INTEGERS, RekeyPolicy.fixed(FIXED_INTERVAL), _seed("c6-warm"))
-    fixed_runs, fuzzed_runs = [], []
-    for i in range(10):
-        seed = _seed("c6", i)
-        fixed_runs.append(
-            bench.run_generation_bench(N_INTEGERS, RekeyPolicy.fixed(FIXED_INTERVAL), seed)
-        )
-        fuzzed_runs.append(
-            bench.run_generation_bench(N_INTEGERS, RekeyPolicy.fuzzed(REKEY_BASE), seed)
-        )
-    rows = bench.compare(bench.aggregate(fixed_runs), bench.aggregate(fuzzed_runs))
+    # drift hits both policies alike.
+    reports = bench.compare_policies(
+        N_INTEGERS,
+        [_seed("c6", i) for i in range(10)],
+        RekeyPolicy.fixed(FIXED_INTERVAL),
+        RekeyPolicy.fuzzed(REKEY_BASE),
+    )
+    rows = bench.compare(*reports)
     wall = rows[0]
     assert abs(wall.reduction_pct) < 5.0, rows
     _ok(6, f"comparison arithmetic 9.1%/10% reproduced; mean wall diff "

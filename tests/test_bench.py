@@ -10,6 +10,7 @@ from arc4rng.bench import (
     RunMeasurement,
     aggregate,
     compare,
+    compare_policies,
     comparison_csv,
     comparison_dicts,
     run_generation_bench,
@@ -40,11 +41,6 @@ def test_run_rekey_count_formula():
         run_generation_bench(0, RekeyPolicy.fixed(), SEED)
 
 
-def test_uniform_workload_accounting():
-    m = run_generation_bench(5000, RekeyPolicy.fixed(), SEED, bound=100)
-    assert m.bytes >= 4 * 5000  # redraws only add
-
-
 def test_run_is_seed_deterministic_in_rekeys():
     a = run_generation_bench(5000, RekeyPolicy.fuzzed(base=2048), SEED)
     b = run_generation_bench(5000, RekeyPolicy.fuzzed(base=2048), SEED)
@@ -66,6 +62,19 @@ def test_aggregate():
     assert again.mean_wall_s == rep.mean_wall_s
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def test_compare_policies_reports_matched_seeds():
+    seeds = [SEED, bytes(SEED_SIZE)]
+    ref, cand = compare_policies(
+        400, seeds, RekeyPolicy.fixed(), RekeyPolicy.fuzzed(base=2048)
+    )
+    assert [r.seed_hex for r in ref.runs] == [s.hex() for s in seeds]
+    assert [r.seed_hex for r in cand.runs] == [s.hex() for s in seeds]
+    assert {r.policy for r in ref.runs} == {"fixed(1600000)"}
+    assert {r.policy for r in cand.runs} == {"fuzzed(base=2048)"}
+    with pytest.raises(ValueError):
+        compare_policies(400, [], RekeyPolicy.fixed(), RekeyPolicy.fuzzed())
 
 
 def test_compare_identical_is_zero():
@@ -122,7 +131,7 @@ def test_comparison_csv_schema():
 def test_report_json_schema():
     m = run_generation_bench(400, RekeyPolicy.fixed(), SEED)
     rep = aggregate([m])
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert set(payload) == {"runs", "mean_wall_s", "mean_cpu_s"}
     assert set(payload["runs"][0]) == {
         "wall_s", "cpu_s", "rekeys", "bytes", "policy", "seed_hex",

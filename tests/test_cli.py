@@ -1,10 +1,14 @@
 """CLI surface tests: determinism, schemas, exit codes."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, main
+from arc4rng import bench
+from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, _derive_run_seed, build_parser, main
 from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
@@ -135,6 +139,24 @@ def test_compare_json_payload(capsys):
     assert cand_runs[0]["policy"].startswith("fuzzed")
 
 
+def test_compare_warms_up_then_alternates_with_matched_seeds(capsys, monkeypatch):
+    calls = []
+
+    def record(n_integers, policy, seed):
+        calls.append((policy.mode, seed))
+        return bench.RunMeasurement(1.0, 1.0, 1, 4 * n_integers, policy.describe(), seed.hex())
+
+    monkeypatch.setattr(bench, "run_generation_bench", record)
+    code, _, _ = run_cli(
+        capsys, "compare", "--count", "100", "--runs", "3", "--seed", HEX_SEED
+    )
+    assert code == 0
+    seeds = [_derive_run_seed(bytes.fromhex(HEX_SEED), i) for i in range(3)]
+    assert calls == [("fixed", seeds[0])] + [
+        (mode, seed) for seed in seeds for mode in ("fixed", "fuzzed")
+    ]
+
+
 def test_compare_bad_runs_is_usage_error(capsys):
     code, _, _ = run_cli(
         capsys, "compare", "--count", "100", "--runs", "0", "--seed", ZERO_SEED
@@ -225,3 +247,17 @@ def test_os_seed_runs(capsys):
     code, out, _ = run_cli(capsys, "gen", "--count", "3", "--seed", "os")
     assert code == 0
     assert len(out.strip().split("\n")) == 3
+
+
+def test_readme_option_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)
+    documented = {name: set(re.findall(r"`(-[-\w]*)`", opts)) for name, opts in rows}
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    registered = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == registered

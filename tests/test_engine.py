@@ -235,15 +235,23 @@ def test_chunking_invariance_random_partitions():
 
 
 def test_one_request_equals_small_chunks_past_rekey():
-    policy = RekeyPolicy.fixed(3000)
-    e = Engine(SEED_A, policy)
-    one = e.random_buf(20_000)
-    chunked = Engine(SEED_A, policy)
-    parts = [chunked.random_buf(300) for _ in range(20_000 // 300)]
-    parts.append(chunked.random_buf(20_000 % 300))
-    assert one == b"".join(parts)
-    assert e.events == chunked.events
-    assert e.snapshot() == chunked.snapshot()
+    exact = BUF_SIZE - SEED_SIZE + 2 * BUF_SIZE
+    for budget, total, chunk in (
+        (3000, 20_000, 300),
+        # The request ends where a direct keystream segment spends the
+        # budget: the rekey fires inside it, not at the start of the next.
+        (exact, exact, 1),
+    ):
+        policy = RekeyPolicy.fixed(budget)
+        e = Engine(SEED_A, policy)
+        one = e.random_buf(total)
+        chunked = Engine(SEED_A, policy)
+        parts = [chunked.random_buf(chunk) for _ in range(total // chunk)]
+        parts.append(chunked.random_buf(total % chunk))
+        assert one == b"".join(parts)
+        assert e.events == chunked.events
+        assert _accounting(e) == _accounting(chunked)
+        assert e.snapshot() == chunked.snapshot()
 
 
 def test_boundary_accounting():
