@@ -9,7 +9,7 @@ to the candidate), the pair satisfying (1 - r/100) * (1 + i/100) = 1.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .engine import Engine
 
@@ -29,9 +29,6 @@ class BenchReport:
     runs: list
     mean_wall_s: float
     mean_cpu_s: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def run_generation_bench(n_integers, policy, seed):
@@ -131,7 +128,3 @@ def comparison_csv(rows):
         for r in rows
     )
     return "\n".join(lines) + "\n"
-
-
-def comparison_dicts(rows):
-    return [asdict(r) for r in rows]

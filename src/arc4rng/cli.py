@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 from . import bench, sampler, stats
 from .engine import (
@@ -124,7 +125,7 @@ def cmd_chisq(args):
     hist = stats.Histogram.categorical(values, args.bins)
     expected = [args.count / args.bins] * args.bins
     result = stats.chi_square_test(hist, expected)
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["rekeys"] = engine.rekey_count
     with _output(args.output) as out:
         json.dump(payload, out)
@@ -149,9 +150,9 @@ def cmd_compare(args):
         else:
             json.dump(
                 {
-                    "reference": reference.to_dict(),
-                    "candidate": candidate.to_dict(),
-                    "comparison": bench.comparison_dicts(rows),
+                    "reference": asdict(reference),
+                    "candidate": asdict(candidate),
+                    "comparison": [asdict(r) for r in rows],
                 },
                 out,
             )
@@ -175,7 +176,7 @@ def cmd_intervals(args):
         out.write(events_to_csv(events))
     # The JSON result goes to whichever stream the CSV did not take.
     report = sys.stderr if out is sys.stdout else sys.stdout
-    json.dump(result.to_dict(), report)
+    json.dump(asdict(result), report)
     report.write("\n")
     return 0
 

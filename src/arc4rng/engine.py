@@ -13,6 +13,7 @@ key as REKEY_BASE + (fuzz % REKEY_BASE), making the interval unpredictable.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -54,6 +55,11 @@ class RekeyPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "fuzzed"):
             raise ValueError(f"unknown policy mode: {self.mode!r}")
+        for name in ("fixed_interval", "rekey_base"):  # numpy integers become ints
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0 < self.fixed_interval <= MAX_BUDGET:
             raise ValueError(f"fixed_interval must be in 1..{MAX_BUDGET}")
         if not 0 < 2 * self.rekey_base <= MAX_BUDGET:
@@ -159,10 +165,6 @@ class Engine:
         self._rekey()  # initial stir: the seed never keys output directly
 
     @classmethod
-    def from_hex(cls, seed_hex, policy=None):
-        return cls(parse_seed_hex(seed_hex), policy)
-
-    @classmethod
     def from_source(cls, source, policy=None):
         return cls(_read_seed(source), policy)
 
@@ -237,8 +239,6 @@ class Engine:
             return out
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return b""
         out = bytearray(n)
         self._fill(memoryview(out))
         return bytes(out)

@@ -7,6 +7,8 @@ can be tested by exhaustive enumeration.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -20,15 +22,24 @@ def min_accept(upper_bound, width=32):
     return ((1 << width) - upper_bound) % upper_bound
 
 
+def _checked_bound(upper_bound, width):
+    """upper_bound as an int in 0..2^width (above 2^w no word is accepted)."""
+    try:
+        bound = operator.index(upper_bound)
+    except TypeError:
+        raise ValueError(f"upper_bound must be an integer, got {upper_bound!r}") from None
+    if not 0 <= bound <= 1 << width:
+        raise ValueError(f"upper_bound must be in 0..2^{width}")
+    return bound
+
+
 def uniform_generic(draw, upper_bound, width=32):
     """Uniform integer in [0, upper_bound) from a w-bit word source.
 
-    Bounds 0 and 1 return 0 without consuming a word. A bound outside
-    0..2^w raises ValueError before any word is drawn: above 2^w no word
-    would ever be accepted.
+    Bounds 0 and 1 return 0 without consuming a word. A bound that is not an
+    integer in 0..2^w raises ValueError before any word is drawn.
     """
-    if not 0 <= upper_bound <= 1 << width:
-        raise ValueError(f"upper_bound must be in 0..2^{width}")
+    upper_bound = _checked_bound(upper_bound, width)
     if upper_bound < 2:
         return 0
     threshold = min_accept(upper_bound, width)
@@ -50,8 +61,7 @@ def uniform_batch(engine, upper_bound, n):
     exactly what the one-at-a-time loop does, so results and engine state
     match. Returns (values, words_drawn). Bounds are validated as in uniform().
     """
-    if not 0 <= upper_bound <= 1 << 32:
-        raise ValueError("upper_bound must be in 0..2^32")
+    upper_bound = _checked_bound(upper_bound, 32)
     if n < 0:
         raise ValueError("n must be non-negative")
     if upper_bound < 2:

@@ -1,6 +1,7 @@
 """Benchmark harness tests: run accounting, aggregation, percent tables."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,6 @@ from arc4rng.bench import (
     compare,
     compare_policies,
     comparison_csv,
-    comparison_dicts,
     run_generation_bench,
 )
 from arc4rng.engine import SEED_SIZE, RekeyPolicy
@@ -122,7 +122,7 @@ def test_comparison_csv_schema():
     )
     assert lines[1].split(",")[0] == "wall"
     assert lines[2].split(",")[0] == "cpu"
-    dicts = comparison_dicts(rows)
+    dicts = [asdict(r) for r in rows]
     assert set(dicts[0]) == {
         "metric", "reference_s", "candidate_s", "reduction_pct", "increase_pct",
     }
@@ -131,7 +131,7 @@ def test_comparison_csv_schema():
 def test_report_json_schema():
     m = run_generation_bench(400, RekeyPolicy.fixed(), SEED)
     rep = aggregate([m])
-    payload = json.loads(json.dumps(rep.to_dict()))
+    payload = json.loads(json.dumps(asdict(rep)))
     assert set(payload) == {"runs", "mean_wall_s", "mean_cpu_s"}
     assert set(payload["runs"][0]) == {
         "wall_s", "cpu_s", "rekeys", "bytes", "policy", "seed_hex",

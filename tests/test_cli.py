@@ -9,7 +9,7 @@ import pytest
 
 from arc4rng import bench
 from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, _derive_run_seed, build_parser, main
-from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy
+from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy, parse_seed_hex
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
 ZERO_SEED = "00" * SEED_SIZE
@@ -59,7 +59,7 @@ def test_gen_events_csv(tmp_path, capsys):
     assert lines[0] == "ordinal,output_offset,interval_chosen"
     assert len(lines) > 2
 
-    engine = Engine.from_hex(HEX_SEED, RekeyPolicy.fuzzed(base=512))
+    engine = Engine(parse_seed_hex(HEX_SEED), RekeyPolicy.fuzzed(base=512))
     engine.random_u32_batch(500)
     assert len(lines) == engine.rekey_count + 1
 
@@ -73,7 +73,7 @@ def test_gen_raw_output(tmp_path, capsys):
     )
     assert code == 0
     data = out_file.read_bytes()
-    engine = Engine.from_hex(HEX_SEED, RekeyPolicy.fixed())
+    engine = Engine(parse_seed_hex(HEX_SEED), RekeyPolicy.fixed())
     assert data == engine.random_buf(400)
 
 

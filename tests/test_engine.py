@@ -3,6 +3,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,14 @@ def test_policy_validation():
         RekeyPolicy.fixed(0)
     with pytest.raises(ValueError):
         RekeyPolicy.fuzzed(-1)
+    # A fractional budget is refused up front, not by a later slice.
+    with pytest.raises(ValueError):
+        RekeyPolicy.fixed(1500.5)
+    with pytest.raises(ValueError):
+        RekeyPolicy.fuzzed(600.5)
+    # numpy integers are accepted and stored as ints.
+    assert RekeyPolicy.fixed(np.int64(1500)) == RekeyPolicy.fixed(1500)
+    assert type(RekeyPolicy.fuzzed(np.uint32(600)).rekey_base) is int
 
 
 def _key_stream_bytes(budget):
@@ -327,7 +336,7 @@ def test_reseed_failure_leaves_engine_usable():
 
 
 def test_from_source_and_from_hex():
-    e1 = Engine.from_hex(SEED_A.hex(), RekeyPolicy.fixed())
+    e1 = Engine(parse_seed_hex(SEED_A.hex()), RekeyPolicy.fixed())
     e2 = Engine.from_source(StaticEntropy(SEED_A), RekeyPolicy.fixed())
     assert e1.random_buf(100) == e2.random_buf(100)
 

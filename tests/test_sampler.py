@@ -54,7 +54,7 @@ def test_degenerate_bounds_consume_nothing():
     assert e.total_out == 0
 
 
-@pytest.mark.parametrize("bound", [-1, -(2**40), 2**32 + 1, 2**32 + 5, 2**33])
+@pytest.mark.parametrize("bound", [-1, -(2**40), 2**32 + 1, 2**32 + 5, 2**33, 100.5])
 def test_out_of_range_bounds_rejected_before_drawing(bound):
     e = Engine(SEED, RekeyPolicy.fixed())
     with pytest.raises(ValueError):
