@@ -40,6 +40,14 @@ MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
 _unpack_u32 = struct.Struct("<I").unpack_from
 
 
+def checked_count(n):
+    """n as an int >= 0 (numpy integers too), else ValueError."""
+    count = operator.index(n) if hasattr(n, "__index__") else -1
+    if count < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    return count
+
+
 class EntropyError(Exception):
     """A seed source failed to deliver SEED_SIZE bytes."""
 
@@ -229,16 +237,18 @@ class Engine:
     def random_buf(self, n):
         """Return n random bytes, rekeying whenever the byte budget is spent."""
         pos = self._pos
-        end = pos + n
-        if end <= BUF_SIZE and 0 < n < self.count:
-            # Fast path: the request fits the buffer and leaves budget over.
-            out = self._view[pos:end].tobytes()
-            self._pos = end
-            self.count -= n
-            self.total_out += n
-            return out
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        try:
+            end = pos + n
+            if end <= BUF_SIZE and 0 < n < self.count:
+                # Fast path: the request fits the buffer and leaves budget over.
+                out = self._view[pos:end].tobytes()
+                self._pos = end
+                self.count -= n
+                self.total_out += n
+                return out
+        except TypeError:  # a non-integer n: checked_count below says so
+            pass
+        n = checked_count(n)
         out = bytearray(n)
         self._fill(memoryview(out))
         return bytes(out)
@@ -255,22 +265,18 @@ class Engine:
         return _unpack_u32(self.random_buf(4))[0]
 
     def random_u32_batch(self, n):
-        """n little-endian 32-bit values; identical to n random_u32() calls."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        out = bytearray(4 * n)
-        self._fill(memoryview(out))
-        return np.frombuffer(out, dtype="<u4")
+        """A new array of n little-endian u32s; identical to n random_u32() calls."""
+        out = np.empty(checked_count(n), dtype="<u4")
+        self._fill(memoryview(out).cast("B"))
+        return out
 
     def discard(self, n):
         """Consume n output bytes without materializing them all at once
         (same accounting as one random_buf(n) call)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        scratch = bytearray(min(n, 1 << 20))
-        view = memoryview(scratch)
+        n = checked_count(n)
+        view = memoryview(np.empty(min(n, 1 << 20), dtype=np.uint8))
         while n:
-            take = min(n, len(scratch))
+            take = min(n, len(view))
             self._fill(view[:take])
             n -= take
 

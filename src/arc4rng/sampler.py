@@ -11,6 +11,8 @@ import operator
 
 import numpy as np
 
+from .engine import checked_count
+
 
 def min_accept(upper_bound, width=32):
     """Smallest raw word that is accepted: (2^w - bound) mod bound.
@@ -62,20 +64,26 @@ def uniform_batch(engine, upper_bound, n):
     match. Returns (values, words_drawn). Bounds are validated as in uniform().
     """
     upper_bound = _checked_bound(upper_bound, 32)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = checked_count(n)
     if upper_bound < 2:
         return np.zeros(n, dtype=np.uint32), 0
+    if upper_bound == 1 << 32:  # every word is accepted as it is
+        return engine.random_u32_batch(n), n
     threshold = min_accept(upper_bound, 32)
+    b = np.uint32(upper_bound)
     out = np.empty(n, dtype=np.uint32)
     filled = 0
     drawn = 0
     while filled < n:
         words = engine.random_u32_batch(n - filled)
         drawn += len(words)
-        accepted = words[words >= threshold] if threshold else words
-        if upper_bound < 1 << 32:
-            accepted = accepted % upper_bound
-        out[filled : filled + len(accepted)] = accepted
-        filled += len(accepted)
+        if threshold and words.min() < threshold:  # compress only if one is rejected
+            words = words[words >= threshold]
+        # words % b as w - (w // b) * b: exact for unsigned words, and numpy
+        # divides by a scalar without a hardware divide per word.
+        dst = out[filled : filled + len(words)]
+        np.floor_divide(words, b, out=dst)
+        dst *= b
+        np.subtract(words, dst, out=dst)
+        filled += len(words)
     return out, drawn

@@ -28,7 +28,7 @@ from arc4rng.engine import (
     events_to_csv,
     parse_seed_hex,
 )
-from arc4rng.sampler import uniform, uniform_generic
+from arc4rng.sampler import uniform, uniform_batch, uniform_generic
 
 ZERO_SEED = bytes(SEED_SIZE)
 SEED_A = bytes(range(SEED_SIZE))
@@ -209,6 +209,79 @@ def test_random_buf_edge_cases():
 
 def _accounting(e):
     return e.count, e.total_out, e._pos, e._cipher.position
+
+
+def _state(e):
+    return e.snapshot(), e.count, e.total_out, list(e.events)
+
+
+@pytest.mark.parametrize("n", [2.5, 3000.5, 1e3, np.float64(4.0), "8", None])
+def test_non_integer_n_rejected_before_state_moves(n):
+    # 2.5 would take random_buf's fast path, 3000.5 its fill path.
+    e = Engine(SEED_A, RekeyPolicy.fixed())
+    e.random_buf(5)
+    before = _state(e)
+    for call in (e.random_buf, e.random_u32_batch, e.discard):
+        with pytest.raises(ValueError, match="integer"):
+            call(n)
+        assert _state(e) == before
+    with pytest.raises(ValueError, match="integer"):
+        uniform_batch(e, 100, n)
+    assert _state(e) == before
+
+
+def test_numpy_integer_n_accepted():
+    a = Engine(SEED_A, RekeyPolicy.fixed(3000))
+    b = Engine(SEED_A, RekeyPolicy.fixed(3000))
+    assert a.random_buf(np.int64(5)) == b.random_buf(5)
+    assert a.random_buf(np.uint16(2000)) == b.random_buf(2000)
+    assert list(a.random_u32_batch(np.int32(7))) == list(b.random_u32_batch(7))
+    a.discard(np.int64(4000))
+    b.discard(4000)
+    assert _state(a) == _state(b)
+    assert a.random_buf(100) == b.random_buf(100)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 1 << 20])
+def test_random_u32_batch_is_a_fresh_u32_array(n):
+    a = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
+    b = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
+    a.random_buf(3)  # words straddle the buffer's 4-byte grid
+    b.random_buf(3)
+    words = a.random_u32_batch(n)
+    assert words.dtype == np.dtype("<u4") and words.shape == (n,)
+    assert words.flags.writeable and words.flags.c_contiguous
+    assert words.tolist() == [b.random_u32() for _ in range(n)]
+    assert _state(a) == _state(b)
+
+
+_DISCARD_POLICIES = [
+    RekeyPolicy.fixed(BUF_SIZE - SEED_SIZE + 2 * BUF_SIZE),
+    RekeyPolicy.fuzzed(1 << 20),
+    RekeyPolicy.fixed(),
+    RekeyPolicy.fuzzed(base=700),
+]
+
+
+@given(
+    policy=st.sampled_from(_DISCARD_POLICIES),
+    skip=st.integers(0, 2 * BUF_SIZE),
+    n=st.integers(0, 3 * (1 << 20) + 5),
+)
+@example(policy=_DISCARD_POLICIES[0], skip=0, n=_DISCARD_POLICIES[0].fixed_interval)
+@example(policy=_DISCARD_POLICIES[1], skip=1, n=3 * (1 << 20) + 5)
+@settings(max_examples=40, deadline=None)
+def test_discard_equals_random_buf(policy, skip, n):
+    a = Engine(SEED_A, policy)
+    b = Engine(SEED_A, policy)
+    a.random_buf(skip)
+    b.random_buf(skip)
+    a.discard(n)
+    b.random_buf(n)
+    for _ in range(2):  # right after the call, then after 5,000 more bytes
+        assert _state(a) == _state(b)
+        assert a._cipher.position == b._cipher.position
+        assert a.random_buf(5000) == b.random_buf(5000)
 
 
 def test_chunking_invariance_random_partitions():

@@ -1,8 +1,10 @@
 """Rejection-sampler tests, including exhaustive small-width enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arc4rng.engine import SEED_SIZE, Engine, RekeyPolicy
@@ -155,3 +157,53 @@ def test_uniform_batch_degenerate():
     assert drawn == 0
     with pytest.raises(ValueError):
         uniform_batch(e, 100, -1)
+
+
+_BOUNDS = st.one_of(
+    st.sampled_from(
+        [2, 3, 6, 100, 1000, 2**16, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+    ),
+    st.integers(2, 2**32),
+)
+_POLICIES = st.one_of(
+    st.integers(5, 2000).map(RekeyPolicy.fixed),
+    st.integers(8, 900).map(RekeyPolicy.fuzzed),
+)
+
+
+def _state(e):
+    return e.snapshot(), e.total_out, list(e.events)
+
+
+@given(bound=_BOUNDS, n=st.integers(0, 3000), policy=_POLICIES, skip=st.integers(0, 7))
+@example(bound=2**31 + 1, n=3000, policy=RekeyPolicy.fuzzed(900), skip=0)
+@example(bound=100, n=3000, policy=RekeyPolicy.fixed(2000), skip=3)
+@settings(max_examples=150, deadline=None)
+def test_uniform_batch_equals_uniform_loop(bound, n, policy, skip):
+    # Requests cross rekeys; bounds such as 2^31 + 1 reject about half of all
+    # words, bounds such as 100 almost never, and 2^k and 2^32 never.
+    a = Engine(SEED, policy)
+    b = Engine(SEED, policy)
+    a.random_buf(skip)
+    b.random_buf(skip)
+    values, drawn = uniform_batch(a, bound, n)
+    singles = [uniform(b, bound) for _ in range(n)]
+    assert values.dtype == np.uint32
+    assert values.tolist() == singles
+    assert drawn == (b.total_out - skip) // 4
+    assert _state(a) == _state(b)
+
+
+def test_uniform_batch_temporaries_bounded():
+    # tracemalloc sees numpy's buffers. The request's words draw no rejection
+    # (drawn == n), so the values and one word array are all it needs to hold.
+    n = 1_000_000
+    e = Engine(SEED, RekeyPolicy.fixed())
+    tracemalloc.start()
+    try:
+        _, drawn = uniform_batch(e, 100, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drawn == n
+    assert peak < 3 * 4 * n
