@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .engine import Engine
+from .engine import Engine, checked_int
 
 
 @dataclass
@@ -37,8 +37,7 @@ def run_generation_bench(n_integers, policy, seed):
     Engine construction is excluded from the timing; it is O(1) next to the
     workload.
     """
-    if n_integers <= 0:
-        raise ValueError("n_integers must be positive")
+    n_integers = checked_int(n_integers, "n_integers", 1)
     engine = Engine(seed, policy)
     t0_wall = time.perf_counter()
     t0_cpu = time.process_time()

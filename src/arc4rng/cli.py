@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import bench, sampler, stats
 from .engine import (
     DEFAULT_FIXED_INTERVAL,
@@ -28,6 +30,7 @@ from .engine import (
 
 EXIT_USAGE = 2
 EXIT_RUNTIME = 1
+CHUNK = 1 << 20  # values per engine call in gen and chisq
 
 
 class UsageError(Exception):
@@ -43,12 +46,19 @@ def _resolve_seed(seed_arg):
         raise UsageError(str(exc)) from None
 
 
-def _policy(mode, args):
-    """The RekeyPolicy for mode and the budget options the subcommand has; a
-    budget out of range is a usage error."""
-    budgets = {k: v for k, v in vars(args).items() if k in ("fixed_interval", "rekey_base")}
+_BUDGET_OF = {"fixed": "fixed_interval", "fuzzed": "rekey_base"}
+
+
+def _policies(args, *modes):
+    """One RekeyPolicy per mode, from the budget options given. A budget
+    option none of the modes reads, or a budget out of range, is a usage
+    error."""
+    budgets = {k: v for k, v in vars(args).items() if k in _BUDGET_OF.values()}
+    unread = sorted(budgets.keys() - {_BUDGET_OF[m] for m in modes})
+    if unread:
+        raise UsageError(f"--{unread[0].replace('_', '-')} is not read by the {modes[0]} policy")
     try:
-        return RekeyPolicy(mode, **budgets)
+        return [RekeyPolicy(mode, **budgets) for mode in modes]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -67,17 +77,18 @@ _OPTIONS = {
         help=f'{2 * SEED_SIZE} hex chars, or "os" for platform entropy (default)',
     ),
     "--policy": dict(choices=("fixed", "fuzzed"), default="fuzzed"),
+    # Absent from args unless given, so that a budget the policy does not read is refused.
     "--fixed-interval": dict(
         type=int,
-        default=DEFAULT_FIXED_INTERVAL,
+        default=argparse.SUPPRESS,
         metavar="BYTES",
-        help="rekey budget for the fixed policy (default %(default)s)",
+        help=f"rekey budget for the fixed policy (default {DEFAULT_FIXED_INTERVAL})",
     ),
     "--rekey-base": dict(
         type=int,
-        default=DEFAULT_REKEY_BASE,
+        default=argparse.SUPPRESS,
         metavar="BYTES",
-        help="REKEY_BASE for the fuzzed policy (default %(default)s)",
+        help=f"REKEY_BASE for the fuzzed policy (default {DEFAULT_REKEY_BASE})",
     ),
 }
 
@@ -101,14 +112,11 @@ def _output(path, binary=False):
 def cmd_gen(args):
     if args.count <= 0:
         raise UsageError("--count must be positive")
-    engine = Engine(_resolve_seed(args.seed), _policy(args.policy, args))
+    engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     with _output(args.output, args.raw) as out:
-        remaining = args.count
-        while remaining:
-            n = min(remaining, 1 << 20)
-            values = engine.random_u32_batch(n)
+        for start in range(0, args.count, CHUNK):
+            values = engine.random_u32_batch(min(CHUNK, args.count - start))
             out.write(values.tobytes() if args.raw else "\n".join(map(str, values)) + "\n")
-            remaining -= n
     if args.events:
         with open(args.events, "w") as f:
             f.write(events_to_csv(engine.events))
@@ -120,11 +128,15 @@ def cmd_chisq(args):
         raise UsageError("--count must be positive")
     if args.bins < 2:
         raise UsageError("--bins must be at least 2")
-    engine = Engine(_resolve_seed(args.seed), _policy(args.policy, args))
-    values, _ = sampler.uniform_batch(engine, args.bins, args.count)
-    hist = stats.Histogram.categorical(values, args.bins)
+    engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
+    # Drawn and binned in chunks, so memory does not grow with --count; the
+    # draws equal one uniform_batch(count) call's.
+    counts = np.zeros(args.bins, dtype=np.int64)
+    for start in range(0, args.count, CHUNK):
+        values, _ = sampler.uniform_batch(engine, args.bins, min(CHUNK, args.count - start))
+        counts += np.bincount(values, minlength=args.bins)
     expected = [args.count / args.bins] * args.bins
-    result = stats.chi_square_test(hist, expected)
+    result = stats.chi_square_test(counts.tolist(), expected)
     payload = asdict(result)
     payload["rekeys"] = engine.rekey_count
     with _output(args.output) as out:
@@ -138,8 +150,7 @@ def cmd_compare(args):
         raise UsageError("--count must be positive")
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
-    fixed = _policy("fixed", args)
-    fuzzed = _policy("fuzzed", args)
+    fixed, fuzzed = _policies(args, "fixed", "fuzzed")
     seed = _resolve_seed(args.seed)
     seeds = [_derive_run_seed(seed, i) for i in range(args.runs)]
     reference, candidate = bench.compare_policies(args.count, seeds, fixed, fuzzed)
@@ -166,12 +177,13 @@ def cmd_intervals(args):
     need = stats.MIN_EVENTS_PER_BIN * args.bins
     if args.rekeys < need:
         raise UsageError(f"--rekeys must be at least {need} for {args.bins} bins")
-    engine = Engine(_resolve_seed(args.seed), _policy("fuzzed", args))
+    (policy,) = _policies(args, "fuzzed")
+    engine = Engine(_resolve_seed(args.seed), policy)
     # Each discard drains exactly the current budget, which ends in one rekey.
     while engine.rekey_count < args.rekeys:
         engine.discard(engine.count)
     events = engine.events
-    result = stats.interval_uniformity_test(events, args.rekey_base, args.bins)
+    result = stats.interval_uniformity_test(events, policy.rekey_base, args.bins)
     with _output(args.output) as out:
         out.write(events_to_csv(events))
     # The JSON result goes to whichever stream the CSV did not take.

@@ -40,12 +40,16 @@ MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
 _unpack_u32 = struct.Struct("<I").unpack_from
 
 
-def checked_count(n):
-    """n as an int >= 0 (numpy integers too), else ValueError."""
-    count = operator.index(n) if hasattr(n, "__index__") else -1
-    if count < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    return count
+def checked_int(value, name, lo=0, hi=None):
+    """value as an int in lo..hi (numpy integers too; no upper limit for
+    hi=None), else ValueError naming the parameter and its range."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = lo - 1  # not an integer: fails the range check
+    if lo <= number and (hi is None or number <= hi):
+        return number
+    raise ValueError(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
 
 
 class EntropyError(Exception):
@@ -63,15 +67,9 @@ class RekeyPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "fuzzed"):
             raise ValueError(f"unknown policy mode: {self.mode!r}")
-        for name in ("fixed_interval", "rekey_base"):  # numpy integers become ints
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if not 0 < self.fixed_interval <= MAX_BUDGET:
-            raise ValueError(f"fixed_interval must be in 1..{MAX_BUDGET}")
-        if not 0 < 2 * self.rekey_base <= MAX_BUDGET:
-            raise ValueError(f"rekey_base must be in 1..{MAX_BUDGET // 2}")
+        # numpy integers are stored as ints
+        for name, hi in (("fixed_interval", MAX_BUDGET), ("rekey_base", MAX_BUDGET // 2)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, 1, hi))
 
     @classmethod
     def fixed(cls, interval=DEFAULT_FIXED_INTERVAL):
@@ -129,7 +127,7 @@ def _read_seed(source):
     seed = source.read()
     if len(seed) != SEED_SIZE:
         raise EntropyError(f"seed source yielded {len(seed)} bytes, need {SEED_SIZE}")
-    return seed
+    return bytes(seed)  # a str raises TypeError here, before any state moves
 
 
 def parse_seed_hex(seed_hex):
@@ -156,7 +154,8 @@ class Engine:
     key from the same stream position.
 
     `events` always holds one RekeyEvent per rekey, the initial stir
-    included; `rekey_count` is its length.
+    included; `rekey_count` is its length. `count` is the budget left and
+    `total_out` the output bytes served so far.
     """
 
     def __init__(self, seed, policy=None):
@@ -164,11 +163,10 @@ class Engine:
             raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
         self.policy = policy if policy is not None else RekeyPolicy.fuzzed()
         self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
-        self._buf = bytearray(BUF_SIZE)
-        self._view = memoryview(self._buf)  # slices without copying
+        self._buf = memoryview(bytearray(BUF_SIZE))  # slices without copying
         self._pos = BUF_SIZE  # buffer starts empty
         self.count = 0
-        self.total_out = 0
+        self._budget_end = 0  # output offset where the current budget runs out
         self.events = []
         self._rekey()  # initial stir: the seed never keys output directly
 
@@ -180,10 +178,14 @@ class Engine:
     def rekey_count(self):
         return len(self.events)
 
+    @property
+    def total_out(self):
+        return self._budget_end - self.count
+
     def _rekey(self, entropy=None):
         """Install the next key from a fresh BUF_SIZE keystream block, with
         entropy (SEED_SIZE bytes) XORed into its first SEED_SIZE bytes."""
-        self._cipher.keystream_into(self._view)
+        self._cipher.keystream_into(self._buf)
         if entropy is not None:
             self._buf[:SEED_SIZE] = bytes(a ^ b for a, b in zip(self._buf, entropy))
         self._cipher = ChaCha20Stream(
@@ -192,8 +194,10 @@ class Engine:
         )
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
         self._pos = SEED_SIZE
+        offset = self.total_out
         self.count = self._next_interval()
-        self.events.append(RekeyEvent(len(self.events), self.total_out, self.count))
+        self._budget_end = offset + self.count
+        self.events.append(RekeyEvent(len(self.events), offset, self.count))
 
     def _next_interval(self):
         if self.policy.mode == "fixed":
@@ -219,18 +223,17 @@ class Engine:
             take = min(n - pos, self.count)
             if self._pos < BUF_SIZE:
                 take = min(take, BUF_SIZE - self._pos)
-                view[pos : pos + take] = self._view[self._pos : self._pos + take]
+                view[pos : pos + take] = self._buf[self._pos : self._pos + take]
                 self._pos += take
             elif take >= BUF_SIZE:
                 take -= take % BUF_SIZE
                 self._cipher.keystream_into(view[pos : pos + take])
             else:
-                self._cipher.keystream_into(self._view)
+                self._cipher.keystream_into(self._buf)
                 self._pos = 0
                 continue
             pos += take
             self.count -= take
-            self.total_out += take
             if self.count == 0:
                 self._rekey()
 
@@ -241,14 +244,14 @@ class Engine:
             end = pos + n
             if end <= BUF_SIZE and 0 < n < self.count:
                 # Fast path: the request fits the buffer and leaves budget over.
-                out = self._view[pos:end].tobytes()
-                self._pos = end
+                out = self._buf[pos:end].tobytes()
+                n = len(out)  # an int even when the n given is a numpy integer
+                self._pos = pos + n
                 self.count -= n
-                self.total_out += n
                 return out
-        except TypeError:  # a non-integer n: checked_count below says so
+        except TypeError:  # a non-integer n: checked_int below says so
             pass
-        n = checked_count(n)
+        n = checked_int(n, "n")
         out = bytearray(n)
         self._fill(memoryview(out))
         return bytes(out)
@@ -260,20 +263,19 @@ class Engine:
             # Fast path: same bytes, same order as random_buf(4).
             self._pos = pos + 4
             self.count -= 4
-            self.total_out += 4
             return _unpack_u32(self._buf, pos)[0]
         return _unpack_u32(self.random_buf(4))[0]
 
     def random_u32_batch(self, n):
         """A new array of n little-endian u32s; identical to n random_u32() calls."""
-        out = np.empty(checked_count(n), dtype="<u4")
+        out = np.empty(checked_int(n, "n"), dtype="<u4")
         self._fill(memoryview(out).cast("B"))
         return out
 
     def discard(self, n):
         """Consume n output bytes without materializing them all at once
         (same accounting as one random_buf(n) call)."""
-        n = checked_count(n)
+        n = checked_int(n, "n")
         view = memoryview(np.empty(min(n, 1 << 20), dtype=np.uint8))
         while n:
             take = min(n, len(view))
@@ -297,5 +299,5 @@ class Engine:
             self._cipher.key
             + self._cipher.nonce
             + struct.pack("<Q", self._cipher.position)
-            + bytes(self._buf)
+            + self._buf.tobytes()
         )

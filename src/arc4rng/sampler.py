@@ -7,11 +7,9 @@ can be tested by exhaustive enumeration.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .engine import checked_count
+from .engine import checked_int
 
 
 def min_accept(upper_bound, width=32):
@@ -24,24 +22,14 @@ def min_accept(upper_bound, width=32):
     return ((1 << width) - upper_bound) % upper_bound
 
 
-def _checked_bound(upper_bound, width):
-    """upper_bound as an int in 0..2^width (above 2^w no word is accepted)."""
-    try:
-        bound = operator.index(upper_bound)
-    except TypeError:
-        raise ValueError(f"upper_bound must be an integer, got {upper_bound!r}") from None
-    if not 0 <= bound <= 1 << width:
-        raise ValueError(f"upper_bound must be in 0..2^{width}")
-    return bound
-
-
 def uniform_generic(draw, upper_bound, width=32):
     """Uniform integer in [0, upper_bound) from a w-bit word source.
 
     Bounds 0 and 1 return 0 without consuming a word. A bound that is not an
     integer in 0..2^w raises ValueError before any word is drawn.
     """
-    upper_bound = _checked_bound(upper_bound, width)
+    # Above 2^w no word would be accepted: the loop would never end.
+    upper_bound = checked_int(upper_bound, "upper_bound", 0, 1 << width)
     if upper_bound < 2:
         return 0
     threshold = min_accept(upper_bound, width)
@@ -63,8 +51,8 @@ def uniform_batch(engine, upper_bound, n):
     exactly what the one-at-a-time loop does, so results and engine state
     match. Returns (values, words_drawn). Bounds are validated as in uniform().
     """
-    upper_bound = _checked_bound(upper_bound, 32)
-    n = checked_count(n)
+    upper_bound = checked_int(upper_bound, "upper_bound", 0, 1 << 32)
+    n = checked_int(n, "n")
     if upper_bound < 2:
         return np.zeros(n, dtype=np.uint32), 0
     if upper_bound == 1 << 32:  # every word is accepted as it is

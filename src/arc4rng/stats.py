@@ -4,10 +4,11 @@ exact finite sum (Abramowitz & Stegun 26.4.4 and 26.4.5)."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .engine import checked_int
 
 
 def chi_square_p_value(statistic, df):
@@ -18,12 +19,7 @@ def chi_square_p_value(statistic, df):
     term(j) = y^(j+h) e^-y / Gamma(j+h+1). Every term is positive and formed
     in log space: none cancels or overflows, only negligible ones underflow.
     """
-    try:
-        df = operator.index(df)
-    except TypeError:
-        raise ValueError(f"df must be an integer, got {df!r}") from None
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    df = checked_int(df, "df", 1)
     if not statistic >= 0:  # NaN fails this too
         raise ValueError(f"statistic must be non-negative, got {statistic!r}")
     if statistic == 0:

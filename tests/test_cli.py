@@ -3,13 +3,15 @@
 import argparse
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from arc4rng import bench
+from arc4rng import bench, stats
 from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, _derive_run_seed, build_parser, main
 from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy, parse_seed_hex
+from arc4rng.sampler import uniform_batch
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
 ZERO_SEED = "00" * SEED_SIZE
@@ -101,6 +103,19 @@ def test_chisq_json_deterministic(capsys):
     assert payload["df"] == 9
     assert payload["rekeys"] == 1
     assert 0.0 <= payload["p_value"] <= 1.0
+
+
+def test_chisq_in_chunks_equals_one_batch(capsys):
+    count, bins = (1 << 20) + 4321, 7
+    code, out, _ = run_cli(
+        capsys, "chisq", "--count", str(count), "--bins", str(bins),
+        "--seed", HEX_SEED, "--policy", "fuzzed", "--rekey-base", "100000",
+    )
+    assert code == 0
+    engine = Engine(bytes.fromhex(HEX_SEED), RekeyPolicy.fuzzed(100_000))
+    values, _ = uniform_batch(engine, bins, count)
+    result = stats.chi_square_test(stats.Histogram.categorical(values, bins), [count / bins] * bins)
+    assert out == json.dumps({**asdict(result), "rekeys": engine.rekey_count}) + "\n"
 
 
 def test_chisq_bins_one_is_usage_error(capsys):
@@ -195,6 +210,8 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
         ["compare", "--count", "100", "--rekey-base", str(MAX_BUDGET)],
         ["intervals", "--rekey-base", "-1"],
         ["intervals", "--rekeys", "100", "--bins", "16"],
+        ["gen", "--count", "5", "--policy", "fuzzed", "--fixed-interval", "5"],
+        ["chisq", "--count", "100", "--policy", "fixed", "--rekey-base", "4096"],
     ],
 )
 def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkeypatch):
@@ -205,6 +222,21 @@ def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkey
     code, _, err = run_cli(capsys, *argv, "--seed", ZERO_SEED)
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "5", "--policy", "fixed", "--fixed-interval", "64"],
+        ["gen", "--count", "5", "--policy", "fuzzed", "--rekey-base", "64"],
+        ["chisq", "--count", "100", "--policy", "fixed", "--fixed-interval", "64"],
+        ["chisq", "--count", "100", "--policy", "fuzzed", "--rekey-base", "64"],
+        ["compare", "--count", "100", "--runs", "1", "--fixed-interval", "64", "--rekey-base", "64"],
+    ],
+)
+def test_budget_options_the_policy_reads_are_accepted(argv, capsys):
+    code, _, _ = run_cli(capsys, *argv, "--seed", ZERO_SEED)
+    assert code == 0
 
 
 def test_intervals_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Engine tests: determinism, rekey mechanics, key erasure, accounting."""
 
+import json
 import random
 import struct
 
@@ -241,6 +242,15 @@ def test_numpy_integer_n_accepted():
     assert _state(a) == _state(b)
     assert a.random_buf(100) == b.random_buf(100)
 
+    # The fast path keeps the engine's numbers Python ints.
+    e = Engine(bytes(SEED_SIZE), RekeyPolicy.fixed(64))
+    e.random_buf(np.int64(5))
+    e.random_buf(100)
+    numbers = [e._pos, e.count, e.total_out]
+    numbers += [x for ev in e.events for x in (ev.ordinal, ev.output_offset, ev.interval_chosen)]
+    assert all(type(x) is int for x in numbers)
+    json.dumps(numbers)
+
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 1 << 20])
 def test_random_u32_batch_is_a_fresh_u32_array(n):
@@ -408,6 +418,24 @@ def test_reseed_failure_leaves_engine_usable():
     a.random_u32()  # still works
 
 
+def test_reseed_with_non_bytes_source_moves_no_state():
+    # A 44-character str passes the length check; it must fail before the
+    # rekey overwrites the buffer and advances the cipher.
+    class StrSource:
+        def read(self):
+            return "k" * SEED_SIZE
+
+    a = Engine(SEED_A, RekeyPolicy.fixed())
+    b = Engine(SEED_A, RekeyPolicy.fixed())
+    a.random_buf(100)
+    b.random_buf(100)
+    before = _state(a)
+    with pytest.raises(TypeError):
+        a.reseed(StrSource())
+    assert _state(a) == before
+    assert a.random_buf(2000) == b.random_buf(2000)
+
+
 def test_from_source_and_from_hex():
     e1 = Engine(parse_seed_hex(SEED_A.hex()), RekeyPolicy.fixed())
     e2 = Engine.from_source(StaticEntropy(SEED_A), RekeyPolicy.fixed())
@@ -494,3 +522,73 @@ def test_fast_path_matches_bytewise_replay(policy, skip, calls):
     assert e.events == r.events
     assert e.total_out == r.total_out
     assert e.snapshot() == r.snapshot()
+
+
+class _CountedWords:
+    """Hands sampler.uniform an engine's random_u32 and counts the words drawn."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.words = 0
+
+    def random_u32(self):
+        self.words += 1
+        return self.engine.random_u32()
+
+
+_ACCOUNTED_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("buf"), st.integers(0, 3000)),
+        st.tuples(st.just("u32"), st.just(None)),
+        st.tuples(st.just("batch"), st.integers(0, 700)),
+        st.tuples(st.just("discard"), st.integers(0, 3000)),
+        st.tuples(st.just("uniform"), st.sampled_from([0, 6, 100, 2**31 + 1, 2**32 - 1])),
+        st.tuples(st.just("reseed"), st.binary(min_size=SEED_SIZE, max_size=SEED_SIZE)),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    policy=st.one_of(
+        st.integers(5, 40).map(RekeyPolicy.fixed),
+        st.sampled_from([RekeyPolicy.fuzzed(base=8), RekeyPolicy.fuzzed(base=600)]),
+    ),
+    calls=_ACCOUNTED_CALLS,
+)
+@example(
+    policy=RekeyPolicy.fixed(40), calls=[("buf", 30), ("reseed", bytes(SEED_SIZE)), ("buf", 50)]
+)
+@settings(max_examples=150, deadline=None)
+def test_output_accounting_across_calls_and_reseeds(policy, calls):
+    # total_out counts bytes handed out; a reseed event sits at the output
+    # offset of its call, and every budget event one interval after the
+    # event before it.
+    e = Engine(SEED_A, policy)
+    served = 0
+    reseed_offsets = {}  # event ordinal -> total_out when reseed was called
+    for kind, arg in calls:
+        if kind == "buf":
+            served += len(e.random_buf(arg))
+        elif kind == "u32":
+            e.random_u32()
+            served += 4
+        elif kind == "batch":
+            served += 4 * len(e.random_u32_batch(arg))
+        elif kind == "discard":
+            e.discard(arg)
+            served += arg
+        elif kind == "uniform":
+            counted = _CountedWords(e)
+            uniform(counted, arg)
+            served += 4 * counted.words
+        else:
+            reseed_offsets[len(e.events)] = e.total_out
+            e.reseed(StaticEntropy(arg))
+        assert e.total_out == served
+    assert e.events[0].output_offset == 0
+    for prev, ev in zip(e.events, e.events[1:]):
+        if ev.ordinal in reseed_offsets:
+            assert ev.output_offset == reseed_offsets[ev.ordinal]
+        else:
+            assert ev.output_offset == prev.output_offset + prev.interval_chosen
