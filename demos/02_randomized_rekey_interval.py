@@ -38,7 +38,7 @@ print(f"  16-bin uniformity: chi2 = {result.statistic:.2f}, "
 # A crude console histogram of the 16 sub-ranges.
 from arc4rng import Histogram
 
-h = Histogram.range_partition(intervals, BASE, 2 * BASE, 16)
+h = Histogram.categorical([(i - BASE) * 16 // BASE for i in intervals], 16)
 top = max(h.bins)
 print()
 for i, count in enumerate(h.bins):

@@ -27,15 +27,8 @@ class CounterExhaustedError(Exception):
     """The 32-bit block counter would wrap; the caller must rekey instead."""
 
 
-_ZEROS = bytes(1 << 16)
-
-
-def _zeros(n):
-    """Shared all-zero plaintext for keystream extraction via update_into."""
-    global _ZEROS
-    if n > len(_ZEROS):
-        _ZEROS = bytes(n)
-    return memoryview(_ZEROS)[:n]
+PIECE_SIZE = 1 << 20  # the most keystream bytes one update_into call makes
+_ZEROS = memoryview(bytes(PIECE_SIZE))  # shared all-zero plaintext
 
 
 def _rotl32(v, n):
@@ -58,13 +51,6 @@ def quarter_round(a, b, c, d):
 def words_to_bytes(words):
     """Serialize sixteen 32-bit words as 64 little-endian bytes."""
     return struct.pack("<16I", *words)
-
-
-def bytes_to_words(block):
-    """Parse a 64-byte block into sixteen little-endian 32-bit words."""
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return list(struct.unpack("<16I", block))
 
 
 def initial_state(key, counter, nonce):
@@ -136,9 +122,9 @@ class ChaCha20Stream:
 
     def keystream(self, n):
         """Return the next n keystream bytes, advancing the context."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return self.xor(_zeros(n))
+        out = bytearray(n)  # ValueError for n < 0
+        self.keystream_into(out)
+        return bytes(out)
 
     def keystream_into(self, view):
         """Write the next len(view) keystream bytes into a writable buffer.
@@ -148,7 +134,13 @@ class ChaCha20Stream:
         """
         n = len(view)
         self._check(n)
-        self._encryptor.update_into(_zeros(n), view)
+        if n <= PIECE_SIZE:
+            self._encryptor.update_into(_ZEROS[:n], view)
+        else:  # in pieces, so the zero plaintext stays one piece long
+            view = memoryview(view)  # slicing a bytearray would copy it
+            for start in range(0, n, PIECE_SIZE):
+                piece = view[start : start + PIECE_SIZE]
+                self._encryptor.update_into(_ZEROS[: len(piece)], piece)
         self.position += n  # only once OpenSSL has accepted the buffer
 
     def xor(self, data):

@@ -110,8 +110,6 @@ def _output(path, binary=False):
 
 
 def cmd_gen(args):
-    if args.count <= 0:
-        raise UsageError("--count must be positive")
     engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     with _output(args.output, args.raw) as out:
         for start in range(0, args.count, CHUNK):
@@ -124,17 +122,13 @@ def cmd_gen(args):
 
 
 def cmd_chisq(args):
-    if args.count <= 0:
-        raise UsageError("--count must be positive")
-    if args.bins < 2:
-        raise UsageError("--bins must be at least 2")
     engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     # Drawn and binned in chunks, so memory does not grow with --count; the
     # draws equal one uniform_batch(count) call's.
     counts = np.zeros(args.bins, dtype=np.int64)
     for start in range(0, args.count, CHUNK):
         values, _ = sampler.uniform_batch(engine, args.bins, min(CHUNK, args.count - start))
-        counts += np.bincount(values, minlength=args.bins)
+        counts += stats.Histogram.categorical(values, args.bins).bins
     expected = [args.count / args.bins] * args.bins
     result = stats.chi_square_test(counts.tolist(), expected)
     payload = asdict(result)
@@ -146,10 +140,6 @@ def cmd_chisq(args):
 
 
 def cmd_compare(args):
-    if args.count <= 0:
-        raise UsageError("--count must be positive")
-    if args.runs < 1:
-        raise UsageError("--runs must be at least 1")
     fixed, fuzzed = _policies(args, "fixed", "fuzzed")
     seed = _resolve_seed(args.seed)
     seeds = [_derive_run_seed(seed, i) for i in range(args.runs)]
@@ -172,8 +162,6 @@ def cmd_compare(args):
 
 
 def cmd_intervals(args):
-    if args.bins < 2:
-        raise UsageError("--bins must be at least 2")
     need = stats.MIN_EVENTS_PER_BIN * args.bins
     if args.rekeys < need:
         raise UsageError(f"--rekeys must be at least {need} for {args.bins} bins")
@@ -237,6 +225,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # The least value of each count option, in whichever commands take it.
+        for name, floor in (("count", 1), ("runs", 1), ("bins", 2)):
+            if getattr(args, name, floor) < floor:
+                raise UsageError(f"--{name} must be at least {floor}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

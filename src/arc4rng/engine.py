@@ -16,11 +16,12 @@ from __future__ import annotations
 import operator
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, ChaCha20Stream
+from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
 BUF_SIZE = 1024
@@ -156,7 +157,13 @@ class Engine:
     `events` always holds one RekeyEvent per rekey, the initial stir
     included; `rekey_count` is its length. `count` is the budget left and
     `total_out` the output bytes served so far.
+
+    An engine is not thread-safe and has one owner at a time. A forked child
+    rekeys every engine it inherits from OS entropy, as reseed() does, so a
+    seeded engine is not reproducible across a fork.
     """
+
+    _live = weakref.WeakSet()  # every live engine, rekeyed in a forked child
 
     def __init__(self, seed, policy=None):
         if len(seed) != SEED_SIZE:
@@ -169,6 +176,7 @@ class Engine:
         self._budget_end = 0  # output offset where the current budget runs out
         self.events = []
         self._rekey()  # initial stir: the seed never keys output directly
+        Engine._live.add(self)
 
     @classmethod
     def from_source(cls, source, policy=None):
@@ -276,7 +284,7 @@ class Engine:
         """Consume n output bytes without materializing them all at once
         (same accounting as one random_buf(n) call)."""
         n = checked_int(n, "n")
-        view = memoryview(np.empty(min(n, 1 << 20), dtype=np.uint8))
+        view = memoryview(np.empty(min(n, PIECE_SIZE), dtype=np.uint8))
         while n:
             take = min(n, len(view))
             self._fill(view[:take])
@@ -301,3 +309,12 @@ class Engine:
             + struct.pack("<Q", self._cipher.position)
             + self._buf.tobytes()
         )
+
+    @classmethod
+    def _rekey_all_after_fork(cls):
+        for engine in cls._live:
+            engine._rekey(os.urandom(SEED_SIZE))
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere there is no fork
+    os.register_at_fork(after_in_child=Engine._rekey_all_after_fork)

@@ -16,8 +16,9 @@ def chi_square_p_value(statistic, df):
 
     With y = statistic / 2, m = df // 2 and h = 1/2 for odd df, 0 for even:
     Q = [odd df: erfc(sqrt(y))] + sum over j < m of term(j), where
-    term(j) = y^(j+h) e^-y / Gamma(j+h+1). Every term is positive and formed
-    in log space: none cancels or overflows, only negligible ones underflow.
+    term(j) = y^(j+h) e^-y / Gamma(j+h+1), and 1 - Q is the sum over j >= m.
+    Every term is positive and formed in log space: none cancels or
+    overflows, only negligible ones underflow.
     """
     df = checked_int(df, "df", 1)
     if not statistic >= 0:  # NaN fails this too
@@ -33,12 +34,15 @@ def chi_square_p_value(statistic, df):
     def term(j):
         return math.exp((j + h) * log_y - y - math.lgamma(j + h + 1))
 
-    # 1 - Q is this series' tail from j = m on: at most term(m) / (1 - r), r the
-    # largest term ratio. Under half an ulp Q rounds to 1.0, which the sum misses.
-    r = y / (m + h + 1)
-    if r < 1 and term(m) / (1 - r) <= 2**-54:
-        return 1.0
-    return min(sum(map(term, range(m)), math.erfc(math.sqrt(y)) if h else 0.0), 1.0)
+    if statistic >= df:
+        return sum(map(term, range(m)), math.erfc(math.sqrt(y)) if h else 0.0)
+    # Below the mean Q is 1 - tail, which stays monotone up to 1 where the sum's
+    # rounding noise does not. Tail terms fall from the first (y < j+h+1).
+    tail, j = 0.0, m
+    while (t := term(j)) > tail * 2**-54:
+        tail += t
+        j += 1
+    return 1.0 - tail
 
 
 @dataclass
@@ -54,17 +58,6 @@ class Histogram:
         if len(counts) > k:
             raise ValueError("observed value outside the categorical range")
         return cls(bins=counts.tolist())
-
-    @classmethod
-    def range_partition(cls, values, lo, hi, k):
-        """Bin values into k equal sub-ranges of [lo, hi)."""
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        raw = np.asarray(values)
-        if raw.size and not lo <= raw.min() <= raw.max() < hi:
-            raise ValueError(f"values {raw.min()}..{raw.max()} outside [{lo}, {hi})")
-        idx = ((raw.astype(np.float64) - lo) * k / (hi - lo)).astype(np.int64)
-        return cls(bins=np.bincount(idx, minlength=k).tolist())
 
 
 @dataclass
@@ -101,10 +94,15 @@ def interval_uniformity_test(events, base, k=16):
     An interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
-    intervals = [getattr(e, "interval_chosen", e) for e in events]
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    intervals = np.array([getattr(e, "interval_chosen", e) for e in events], dtype=np.int64)
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:
         raise ValueError(f"need at least {need} events for {k} bins, got {len(intervals)}")
-    hist = Histogram.range_partition(intervals, base, 2 * base, k)
+    lo, hi = intervals.min(), intervals.max()
+    if not base <= lo <= hi < 2 * base:
+        raise ValueError(f"intervals {lo}..{hi} outside [{base}, {2 * base})")
+    hist = Histogram.categorical((intervals - base) * k // base, k)
     expected = [len(intervals) / k] * k
     return chi_square_test(hist, expected)

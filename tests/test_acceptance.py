@@ -149,9 +149,9 @@ class _SpyEngine(Engine):
         self.old_keys = []
         super().__init__(*a, **kw)
 
-    def _rekey(self):
+    def _rekey(self, entropy=None):
         self.old_keys.append(self._cipher.key)
-        super()._rekey()
+        super()._rekey(entropy)
 
 
 def test_criterion_8_key_erasure_and_chunking():

@@ -12,8 +12,8 @@ from arc4rng.chacha import (
     BLOCK_SIZE,
     MAX_BLOCKS,
     ChaCha20Stream,
+    PIECE_SIZE,
     CounterExhaustedError,
-    bytes_to_words,
     chacha_block,
     initial_state,
     quarter_round,
@@ -129,11 +129,8 @@ def test_chacha_block_matches_naive_oracle():
 def test_block_serialization_round_trips():
     rng = random.Random(3)
     words = [rng.getrandbits(32) for _ in range(16)]
-    assert bytes_to_words(words_to_bytes(words)) == words
-    block = rng.randbytes(64)
-    assert words_to_bytes(bytes_to_words(block)) == block
-    with pytest.raises(ValueError):
-        bytes_to_words(b"short")
+    block = words_to_bytes(words)
+    assert [int.from_bytes(block[i : i + 4], "little") for i in range(0, 64, 4)] == words
 
 
 def test_initial_state_validation():
@@ -186,6 +183,23 @@ def test_stream_chunking_invariance(counter, calls):
     )
     assert got == want[: len(got)]
     assert ctx.position == counter * BLOCK_SIZE + len(got)
+
+
+def test_views_longer_than_a_piece():
+    # Filled piece by piece, a view still reads the reference stream: at its
+    # first block, on both sides of the piece boundary and at the block of its
+    # last byte; the context then goes on from that byte.
+    n = 2 * PIECE_SIZE + 100
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, counter=7)
+    out = bytearray(n)
+    ctx.keystream_into(out)
+    assert ctx.position == 7 * BLOCK_SIZE + n
+    last = (n - 1) // BLOCK_SIZE
+    for block in (0, PIECE_SIZE // BLOCK_SIZE - 1, PIECE_SIZE // BLOCK_SIZE, last):
+        got = out[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE]
+        assert got == chacha_block(RFC_KEY, 7 + block, RFC_NONCE)[: len(got)]
+    following = chacha_block(RFC_KEY, 7 + last, RFC_NONCE) + chacha_block(RFC_KEY, 8 + last, RFC_NONCE)
+    assert ctx.keystream(64) == following[n % BLOCK_SIZE :][:64]
 
 
 def test_xor_identity_and_round_trip():

@@ -212,6 +212,7 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
         ["intervals", "--rekeys", "100", "--bins", "16"],
         ["gen", "--count", "5", "--policy", "fuzzed", "--fixed-interval", "5"],
         ["chisq", "--count", "100", "--policy", "fixed", "--rekey-base", "4096"],
+        ["intervals", "--bins", "1"],
     ],
 )
 def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Engine tests: determinism, rekey mechanics, key erasure, accounting."""
 
 import json
+import os
 import random
 import struct
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arc4rng import chacha
 from arc4rng.chacha import (
     BLOCK_SIZE,
     MAX_BLOCKS,
+    PIECE_SIZE,
     ChaCha20Stream,
     CounterExhaustedError,
     chacha_block,
@@ -294,6 +297,17 @@ def test_discard_equals_random_buf(policy, skip, n):
         assert a.random_buf(5000) == b.random_buf(5000)
 
 
+def test_large_request_keeps_the_zero_block_fixed():
+    # 12 MB in one request: filled in PIECE_SIZE pieces, with the same output
+    # as 1 MiB requests, and the shared zero plaintext stays one piece long.
+    n, step = 3_000_000, 1 << 18
+    big = Engine(SEED_A, RekeyPolicy.fixed(MAX_BUDGET)).random_u32_batch(n)
+    assert len(chacha._ZEROS) == PIECE_SIZE == 1 << 20
+    twin = Engine(SEED_A, RekeyPolicy.fixed(MAX_BUDGET))
+    pieces = [twin.random_u32_batch(min(step, n - i)) for i in range(0, n, step)]
+    assert np.array_equal(big, np.concatenate(pieces))
+
+
 def test_chunking_invariance_random_partitions():
     # Budgets above BUF_SIZE + (BUF_SIZE - SEED_SIZE) and chunks of BUF_SIZE
     # or more take the direct keystream path on both sides of a rekey. After
@@ -434,6 +448,28 @@ def test_reseed_with_non_bytes_source_moves_no_state():
         a.reseed(StrSource())
     assert _state(a) == before
     assert a.random_buf(2000) == b.random_buf(2000)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_rekeys_and_parent_does_not():
+    a = Engine(SEED_A, RekeyPolicy.fixed())
+    twin = Engine(SEED_A, RekeyPolicy.fixed())
+    a.random_buf(10)
+    twin.random_buf(10)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child sends its next 64 bytes and leaves at once
+        try:
+            os.write(write_end, a.random_buf(64))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        child = pipe.read()
+    os.waitpid(pid, 0)
+    parent = a.random_buf(64)
+    assert parent == twin.random_buf(64)
+    assert len(child) == 64 and child != parent
 
 
 def test_from_source_and_from_hex():

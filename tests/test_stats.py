@@ -97,6 +97,13 @@ def test_p_value_monotone_in_statistic():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("df", [1, 2, 3, 99, 182, 199, 255, 999, 1000])
+def test_p_value_monotone_near_one(df):
+    # Where 1 - Q is small, rounding noise in Q must not make it rise.
+    values = [chi_square_p_value(s, df) for s in np.linspace(0.01, 3 * df + 30, 300)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
 def test_p_value_errors():
     with pytest.raises(ValueError):
         chi_square_p_value(1.0, 0)
@@ -144,15 +151,6 @@ def test_categorical_histogram():
         Histogram.categorical([0, 5], 3)
 
 
-def test_range_partition_histogram():
-    h = Histogram.range_partition([0.0, 0.5, 0.99, 3.5], 0.0, 4.0, 4)
-    assert h.bins == [3, 0, 0, 1]
-    with pytest.raises(ValueError):
-        Histogram.range_partition([4.0], 0.0, 4.0, 4)
-    with pytest.raises(ValueError):
-        Histogram.range_partition([1.0], 0.0, 4.0, 1)
-
-
 # --- interval uniformity ---------------------------------------------------
 
 def test_interval_uniformity_cycling_midpoints():
@@ -163,6 +161,16 @@ def test_interval_uniformity_cycling_midpoints():
     res = interval_uniformity_test(events, base, k)
     assert res.statistic == 0.0
     assert res.p_value == 1.0
+
+
+def test_interval_uniformity_bin_edges():
+    # base / k is not an integer: each bin's first and last integer still
+    # land in that bin, 10 each, so every bin holds exactly 20.
+    base, k = 1000, 16
+    firsts = [base + -(-i * base // k) for i in range(k)]
+    lasts = [base + -(-(i + 1) * base // k) - 1 for i in range(k)]
+    res = interval_uniformity_test((firsts + lasts) * 10, base, k)
+    assert res.statistic == 0.0
 
 
 def test_interval_uniformity_degenerate_concentration():
