@@ -2,7 +2,8 @@
 
 Times the production of 39.6M 32-bit values (about 151 MiB) under each
 policy with bench.compare_policies: one untimed warm-up run, then for each
-seed a fixed run followed at once by a fuzzed run with the same seed. Prints
+seed a fixed and a fuzzed run back to back with the same seed, fixed first
+for even-indexed seeds and fuzzed first for odd-indexed ones (ABBA). Prints
 the per-run times and the two-column percent table: "reduction in time" is
 relative to the reference (fixed), "increase in performance" relative to the
 candidate (fuzzed).

@@ -70,17 +70,21 @@ def compare_policies(n_integers, seeds, reference, candidate):
     """The paper's comparison: (reference report, candidate report).
 
     One untimed warm-up run (reference policy, first seed) absorbs allocator
-    and page-cache effects. Then each seed runs under the reference policy
-    and at once under the candidate, so host drift hits both alike and the
-    two reports use matched seeds.
+    and page-cache effects. Then each seed runs under both policies back to
+    back, the reference first for even-indexed seeds and the candidate first
+    for odd-indexed ones (ABBA), so neither host drift nor run order favours
+    one policy. Both reports keep their runs in seed order, matched by seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     run_generation_bench(n_integers, reference, seeds[0])
     ref_runs, cand_runs = [], []
-    for seed in seeds:
-        ref_runs.append(run_generation_bench(n_integers, reference, seed))
-        cand_runs.append(run_generation_bench(n_integers, candidate, seed))
+    for i, seed in enumerate(seeds):
+        pair = [(reference, ref_runs), (candidate, cand_runs)]
+        if i % 2:
+            pair.reverse()
+        for policy, runs in pair:
+            runs.append(run_generation_bench(n_integers, policy, seed))
     return aggregate(ref_runs), aggregate(cand_runs)
 
 

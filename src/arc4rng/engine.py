@@ -19,8 +19,6 @@ import struct
 import weakref
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
@@ -168,7 +166,11 @@ class Engine:
     def __init__(self, seed, policy=None):
         if len(seed) != SEED_SIZE:
             raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-        self.policy = policy if policy is not None else RekeyPolicy.fuzzed()
+        if policy is None:
+            policy = RekeyPolicy.fuzzed()
+        elif not isinstance(policy, RekeyPolicy):
+            raise TypeError(f"policy must be a RekeyPolicy or None, got {policy!r}")
+        self.policy = policy
         self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf = memoryview(bytearray(BUF_SIZE))  # slices without copying
         self._pos = BUF_SIZE  # buffer starts empty
@@ -276,6 +278,8 @@ class Engine:
 
     def random_u32_batch(self, n):
         """A new array of n little-endian u32s; identical to n random_u32() calls."""
+        import numpy as np  # here, not at import: scalar callers never load it
+
         out = np.empty(checked_int(n, "n"), dtype="<u4")
         self._fill(memoryview(out).cast("B"))
         return out
@@ -283,6 +287,8 @@ class Engine:
     def discard(self, n):
         """Consume n output bytes without materializing them all at once
         (same accounting as one random_buf(n) call)."""
+        import numpy as np
+
         n = checked_int(n, "n")
         view = memoryview(np.empty(min(n, PIECE_SIZE), dtype=np.uint8))
         while n:

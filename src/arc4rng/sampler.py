@@ -7,8 +7,6 @@ can be tested by exhaustive enumeration.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .engine import checked_int
 
 
@@ -51,6 +49,8 @@ def uniform_batch(engine, upper_bound, n):
     exactly what the one-at-a-time loop does, so results and engine state
     match. Returns (values, words_drawn). Bounds are validated as in uniform().
     """
+    import numpy as np  # here, not at import: scalar callers never load it
+
     upper_bound = checked_int(upper_bound, "upper_bound", 0, 1 << 32)
     n = checked_int(n, "n")
     if upper_bound < 2:

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import checked_int
 
 
@@ -54,6 +52,8 @@ class Histogram:
     @classmethod
     def categorical(cls, values, k):
         """Bin integer values 0..k-1 by identity."""
+        import numpy as np  # here, not at import: scalar callers never load it
+
         counts = np.bincount(np.asarray(values), minlength=k)
         if len(counts) > k:
             raise ValueError("observed value outside the categorical range")
@@ -94,6 +94,8 @@ def interval_uniformity_test(events, base, k=16):
     An interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
+    import numpy as np
+
     if k < 2:
         raise ValueError("k must be >= 2")
     intervals = np.array([getattr(e, "interval_chosen", e) for e in events], dtype=np.int64)

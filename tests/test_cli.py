@@ -166,9 +166,12 @@ def test_compare_warms_up_then_alternates_with_matched_seeds(capsys, monkeypatch
         capsys, "compare", "--count", "100", "--runs", "3", "--seed", HEX_SEED
     )
     assert code == 0
-    seeds = [_derive_run_seed(bytes.fromhex(HEX_SEED), i) for i in range(3)]
-    assert calls == [("fixed", seeds[0])] + [
-        (mode, seed) for seed in seeds for mode in ("fixed", "fuzzed")
+    a, b, c = [_derive_run_seed(bytes.fromhex(HEX_SEED), i) for i in range(3)]
+    assert calls == [
+        ("fixed", a),  # untimed warm-up
+        ("fixed", a), ("fuzzed", a),
+        ("fuzzed", b), ("fixed", b),  # ABBA: odd-indexed seeds run fuzzed first
+        ("fixed", c), ("fuzzed", c),
     ]
 
 

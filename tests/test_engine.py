@@ -114,6 +114,18 @@ def test_seed_validation():
         parse_seed_hex("00" * (SEED_SIZE - 1))
 
 
+@pytest.mark.parametrize("policy", ["fixed", 4096, RekeyPolicy])
+def test_policy_type_rejected_before_cipher_is_built(policy, monkeypatch):
+    def no_cipher(*args):
+        raise AssertionError("cipher built before the policy was checked")
+
+    monkeypatch.setattr("arc4rng.engine.ChaCha20Stream", no_cipher)
+    with pytest.raises(TypeError, match="policy"):
+        Engine(SEED_A, policy)
+    with pytest.raises(TypeError, match="policy"):
+        Engine.from_source(StaticEntropy(SEED_A), policy)
+
+
 def test_same_seed_same_policy_same_output():
     a = Engine(SEED_A, RekeyPolicy.fuzzed())
     b = Engine(SEED_A, RekeyPolicy.fuzzed())

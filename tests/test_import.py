@@ -1,0 +1,52 @@
+"""Import cost: scalar use of arc4rng never loads numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in a fresh interpreter and prints one JSON object.
+CHILD = """
+import json, sys
+import arc4rng
+from arc4rng import Engine, RekeyPolicy, StaticEntropy, chi_square_p_value, uniform
+
+seed = bytes(range(arc4rng.SEED_SIZE))
+e = Engine(seed, RekeyPolicy.fixed(4096))
+words = [e.random_u32() for _ in range(3)]
+e.random_buf(5000)  # crosses a buffer refill and a rekey
+uniform(e, 100)
+rekeys = e.rekey_count
+e.reseed(StaticEntropy(bytes(arc4rng.SEED_SIZE)))
+chi_square_p_value(3.0, 2)
+unresolved = [name for name in arc4rng.__all__ if not hasattr(arc4rng, name)]
+scalar_loaded_numpy = "numpy" in sys.modules
+
+batch = Engine(seed, RekeyPolicy.fixed(4096)).random_u32_batch(3)
+print(json.dumps({
+    "rekeys": rekeys,
+    "unresolved": unresolved,
+    "scalar_loaded_numpy": scalar_loaded_numpy,
+    "batch_loaded_numpy": "numpy" in sys.modules,
+    "words": words,
+    "batch": batch.tolist(),
+}))
+"""
+
+
+def test_scalar_use_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rekeys"] == 2  # the initial stir and one at byte 4096
+    assert result["unresolved"] == []
+    assert not result["scalar_loaded_numpy"]
+    assert result["batch_loaded_numpy"]
+    assert result["batch"] == result["words"]
