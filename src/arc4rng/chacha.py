@@ -10,6 +10,7 @@ suite.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -21,6 +22,18 @@ MAX_BLOCKS = 1 << 32  # 32-bit block counter
 
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+
+
+def checked_int(value, name, lo=0, hi=None):
+    """value as an int in lo..hi (numpy integers too; no upper limit for
+    hi=None), else ValueError naming the parameter and its range."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = lo - 1  # not an integer: fails the range check
+    if lo <= number and (hi is None or number <= hi):
+        return number
+    raise ValueError(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
 
 
 class CounterExhaustedError(Exception):
@@ -59,12 +72,10 @@ def initial_state(key, counter, nonce):
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-    if not 0 <= counter < MAX_BLOCKS:
-        raise ValueError("counter must fit in 32 bits")
     return (
         list(_CONSTANTS)
         + list(struct.unpack("<8I", key))
-        + [counter]
+        + [checked_int(counter, "counter", 0, MAX_BLOCKS - 1)]
         + list(struct.unpack("<3I", nonce))
     )
 
@@ -99,7 +110,8 @@ class ChaCha20Stream:
     """
 
     def __init__(self, key, nonce, counter=0):
-        initial_state(key, nonce=nonce, counter=counter)  # validate
+        # initial_state validates all three; its word 12 is the counter as an int
+        counter = initial_state(key, counter, nonce)[12]
         self.key = bytes(key)
         self.nonce = bytes(nonce)
         self.position = counter * BLOCK_SIZE
@@ -122,7 +134,7 @@ class ChaCha20Stream:
 
     def keystream(self, n):
         """Return the next n keystream bytes, advancing the context."""
-        out = bytearray(n)  # ValueError for n < 0
+        out = bytearray(checked_int(n, "n"))
         self.keystream_into(out)
         return bytes(out)
 

@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import bench, sampler, stats
 from .engine import (
     DEFAULT_FIXED_INTERVAL,
@@ -125,12 +123,13 @@ def cmd_chisq(args):
     engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     # Drawn and binned in chunks, so memory does not grow with --count; the
     # draws equal one uniform_batch(count) call's.
-    counts = np.zeros(args.bins, dtype=np.int64)
+    counts = [0] * args.bins
     for start in range(0, args.count, CHUNK):
         values, _ = sampler.uniform_batch(engine, args.bins, min(CHUNK, args.count - start))
-        counts += stats.Histogram.categorical(values, args.bins).bins
+        bins = stats.Histogram.categorical(values, args.bins).bins
+        counts = [c + b for c, b in zip(counts, bins)]
     expected = [args.count / args.bins] * args.bins
-    result = stats.chi_square_test(counts.tolist(), expected)
+    result = stats.chi_square_test(counts, expected)
     payload = asdict(result)
     payload["rekeys"] = engine.rekey_count
     with _output(args.output) as out:

@@ -13,13 +13,12 @@ key as REKEY_BASE + (fuzz % REKEY_BASE), making the interval unpredictable.
 
 from __future__ import annotations
 
-import operator
 import os
 import struct
 import weakref
 from dataclasses import dataclass
 
-from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream
+from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_int
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
 BUF_SIZE = 1024
@@ -37,18 +36,6 @@ MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
 )
 
 _unpack_u32 = struct.Struct("<I").unpack_from
-
-
-def checked_int(value, name, lo=0, hi=None):
-    """value as an int in lo..hi (numpy integers too; no upper limit for
-    hi=None), else ValueError naming the parameter and its range."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = lo - 1  # not an integer: fails the range check
-    if lo <= number and (hi is None or number <= hi):
-        return number
-    raise ValueError(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
 
 
 class EntropyError(Exception):

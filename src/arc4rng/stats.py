@@ -54,6 +54,7 @@ class Histogram:
         """Bin integer values 0..k-1 by identity."""
         import numpy as np  # here, not at import: scalar callers never load it
 
+        k = checked_int(k, "k")
         counts = np.bincount(np.asarray(values), minlength=k)
         if len(counts) > k:
             raise ValueError("observed value outside the categorical range")
@@ -73,8 +74,8 @@ def chi_square_statistic(observed, expected):
     exp = list(expected)
     if len(obs) != len(exp):
         raise ValueError(f"bin count mismatch: {len(obs)} observed, {len(exp)} expected")
-    if any(e <= 0 for e in exp):
-        raise ValueError("every expected count must be positive")
+    if not all(0 < e < math.inf for e in exp):  # NaN fails this too
+        raise ValueError("every expected count must be finite and positive")
     return float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
 
 
@@ -96,8 +97,8 @@ def interval_uniformity_test(events, base, k=16):
     """
     import numpy as np
 
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    base = checked_int(base, "base", 1)
+    k = checked_int(k, "k", 2)
     intervals = np.array([getattr(e, "interval_chosen", e) for e in events], dtype=np.int64)
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:

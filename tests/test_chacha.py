@@ -4,10 +4,12 @@ naive-matrix oracle, and keystream context behavior."""
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arc4rng import chacha
 from arc4rng.chacha import (
     BLOCK_SIZE,
     MAX_BLOCKS,
@@ -140,6 +142,9 @@ def test_initial_state_validation():
         initial_state(RFC_KEY, 0, b"short")
     with pytest.raises(ValueError):
         initial_state(RFC_KEY, 1 << 32, RFC_NONCE)
+    for counter in (1.5, "1"):
+        with pytest.raises(ValueError, match="counter"):
+            initial_state(RFC_KEY, counter, RFC_NONCE)
 
 
 # --- keystream context -----------------------------------------------------
@@ -221,6 +226,25 @@ def test_counter_accounting():
         served += n
         assert ctx.position == served
         assert ctx.block_counter == -(-served // BLOCK_SIZE)
+
+
+def test_integer_inputs_checked_before_state_moves(monkeypatch):
+    built = []
+    monkeypatch.setattr(chacha, "Cipher", lambda *a, **kw: built.append(a))
+    for counter in (1.5, "8", None):
+        with pytest.raises(ValueError, match="counter"):
+            ChaCha20Stream(RFC_KEY, RFC_NONCE, counter)
+    assert built == []  # no encryptor was built
+    monkeypatch.undo()
+
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, np.int64(3))
+    ctx.keystream(10)
+    assert type(ctx.position) is int and ctx.position == 3 * BLOCK_SIZE + 10
+    for n in (2.5, "3", -1, None):
+        with pytest.raises(ValueError, match="n must be"):
+            ctx.keystream(n)
+    assert ctx.position == 3 * BLOCK_SIZE + 10
+    assert ctx.keystream(54) == chacha_block(RFC_KEY, 3, RFC_NONCE)[10:]
 
 
 def test_rejected_buffer_leaves_position():

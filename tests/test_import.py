@@ -1,4 +1,5 @@
-"""Import cost: scalar use of arc4rng never loads numpy."""
+"""Import cost: scalar use of arc4rng, and the CLI up to a usage error,
+never load numpy."""
 
 import json
 import os
@@ -37,16 +38,38 @@ print(json.dumps({
 """
 
 
-def test_scalar_use_leaves_numpy_unloaded():
+# The CLI parses its arguments and reports a usage error without numpy.
+CLI_CHILD = """
+import json, sys
+from arc4rng import cli
+
+cli.build_parser()
+code = cli.main(["gen", "--count", "0", "--seed", "00" * 44])
+print(json.dumps({"code": code, "loaded_numpy": "numpy" in sys.modules}))
+"""
+
+
+def _run_child(code):
+    """The JSON object a fresh interpreter running code prints."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_scalar_use_leaves_numpy_unloaded():
+    result = _run_child(CHILD)
     assert result["rekeys"] == 2  # the initial stir and one at byte 4096
     assert result["unresolved"] == []
     assert not result["scalar_loaded_numpy"]
     assert result["batch_loaded_numpy"]
     assert result["batch"] == result["words"]
+
+
+def test_cli_usage_error_leaves_numpy_unloaded():
+    result = _run_child(CLI_CHILD)
+    assert result["code"] == 2
+    assert not result["loaded_numpy"]

@@ -52,6 +52,11 @@ def test_statistic_errors():
         chi_square_statistic([1, 2], [1, 0])
     with pytest.raises(ValueError):
         chi_square_statistic([1, 2], [1, -3])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="expected count"):
+            chi_square_statistic([1, 2], [1.5, bad])
+        with pytest.raises(ValueError, match="expected count"):
+            chi_square_test([1, 2], [1.5, bad])
 
 
 def test_statistic_permutation_invariant():
@@ -149,6 +154,9 @@ def test_categorical_histogram():
     assert h.bins == [1, 2, 3, 0]
     with pytest.raises(ValueError):
         Histogram.categorical([0, 5], 3)
+    with pytest.raises(ValueError, match="k must be"):
+        Histogram.categorical([0, 1], 2.5)
+    assert Histogram.categorical([0, 1, 1], np.int64(4)).bins == [1, 2, 0, 0]
 
 
 # --- interval uniformity ---------------------------------------------------
@@ -193,6 +201,16 @@ def test_interval_uniformity_preconditions():
         interval_uniformity_test([1000] * 50, 1000, 8)  # < 10k events
     with pytest.raises(ValueError):
         interval_uniformity_test([1000] * 100, 1000, 1)
+    events = list(range(1000, 2000))
+    for base in (1000.0, "1000", None):
+        with pytest.raises(ValueError, match="base must be"):
+            interval_uniformity_test(events, base, 16)
+    for k in (2.5, "16", None):
+        with pytest.raises(ValueError, match="k must be"):
+            interval_uniformity_test(events, 1000, k)
+    assert interval_uniformity_test(events, np.int64(1000), np.int64(16)) == (
+        interval_uniformity_test(events, 1000, 16)
+    )
 
 
 def test_interval_uniformity_on_engine_events():
