@@ -130,7 +130,7 @@ def cmd_chisq(args):
         counts = [c + b for c, b in zip(counts, bins)]
     expected = [args.count / args.bins] * args.bins
     result = stats.chi_square_test(counts, expected)
-    payload = asdict(result)
+    payload = result._asdict()
     payload["rekeys"] = engine.rekey_count
     with _output(args.output) as out:
         json.dump(payload, out)
@@ -175,7 +175,7 @@ def cmd_intervals(args):
         out.write(events_to_csv(events))
     # The JSON result goes to whichever stream the CSV did not take.
     report = sys.stderr if out is sys.stdout else sys.stdout
-    json.dump(asdict(result), report)
+    json.dump(result._asdict(), report)
     report.write("\n")
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import struct
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_int
 
@@ -42,20 +42,23 @@ class EntropyError(Exception):
     """A seed source failed to deliver SEED_SIZE bytes."""
 
 
-@dataclass(frozen=True)
-class RekeyPolicy:
+class RekeyPolicy(namedtuple("RekeyPolicy", "mode fixed_interval rekey_base")):
     """Chooses the byte budget installed at each rekey."""
 
-    mode: str  # "fixed" | "fuzzed"
-    fixed_interval: int = DEFAULT_FIXED_INTERVAL
-    rekey_base: int = DEFAULT_REKEY_BASE
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("fixed", "fuzzed"):
-            raise ValueError(f"unknown policy mode: {self.mode!r}")
+    def __new__(cls, mode, fixed_interval=DEFAULT_FIXED_INTERVAL, rekey_base=DEFAULT_REKEY_BASE):
+        if mode not in ("fixed", "fuzzed"):
+            raise ValueError(f"unknown policy mode: {mode!r}")
         # numpy integers are stored as ints
-        for name, hi in (("fixed_interval", MAX_BUDGET), ("rekey_base", MAX_BUDGET // 2)):
-            object.__setattr__(self, name, checked_int(getattr(self, name), name, 1, hi))
+        fixed_interval = checked_int(fixed_interval, "fixed_interval", 1, MAX_BUDGET)
+        rekey_base = checked_int(rekey_base, "rekey_base", 1, MAX_BUDGET // 2)
+        return super().__new__(cls, mode, fixed_interval, rekey_base)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated like the constructor; _replace goes through here too."""
+        return cls(*iterable)
 
     @classmethod
     def fixed(cls, interval=DEFAULT_FIXED_INTERVAL):
@@ -71,13 +74,8 @@ class RekeyPolicy:
         return f"fuzzed(base={self.rekey_base})"
 
 
-@dataclass(frozen=True)
-class RekeyEvent:
-    """One rekey: which output byte it happened at and the interval chosen."""
-
-    ordinal: int
-    output_offset: int
-    interval_chosen: int
+RekeyEvent = namedtuple("RekeyEvent", "ordinal output_offset interval_chosen")
+RekeyEvent.__doc__ = "One rekey: which output byte it happened at and the interval chosen."
 
 
 EVENTS_CSV_HEADER = "ordinal,output_offset,interval_chosen"

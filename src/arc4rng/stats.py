@@ -4,7 +4,7 @@ exact finite sum (Abramowitz & Stegun 26.4.4 and 26.4.5)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import checked_int
 
@@ -43,29 +43,37 @@ def chi_square_p_value(statistic, df):
     return 1.0 - tail
 
 
-@dataclass
-class Histogram:
+def _integer_array(values, name):
+    """values as a numpy integer (or bool) array. The dtype is checked once,
+    not each element: float, string and object values raise ValueError."""
+    import numpy as np  # here, not at import: scalar callers never load it
+
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        if values.size:
+            raise ValueError(f"{name} must be integers, got {values.dtype} values")
+        values = values.astype(np.int64)  # an empty list reads as float64
+    return values
+
+
+class Histogram(namedtuple("Histogram", "bins")):
     """Binned counts."""
 
-    bins: list
+    __slots__ = ()
 
     @classmethod
     def categorical(cls, values, k):
         """Bin integer values 0..k-1 by identity."""
-        import numpy as np  # here, not at import: scalar callers never load it
+        import numpy as np
 
         k = checked_int(k, "k")
-        counts = np.bincount(np.asarray(values), minlength=k)
+        counts = np.bincount(_integer_array(values, "values"), minlength=k)
         if len(counts) > k:
             raise ValueError("observed value outside the categorical range")
         return cls(bins=counts.tolist())
 
 
-@dataclass
-class ChiSquareResult:
-    statistic: float
-    df: int
-    p_value: float
+ChiSquareResult = namedtuple("ChiSquareResult", "statistic df p_value")
 
 
 def chi_square_statistic(observed, expected):
@@ -95,11 +103,9 @@ def interval_uniformity_test(events, base, k=16):
     An interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
-    import numpy as np
-
     base = checked_int(base, "base", 1)
     k = checked_int(k, "k", 2)
-    intervals = np.array([getattr(e, "interval_chosen", e) for e in events], dtype=np.int64)
+    intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events")
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:
         raise ValueError(f"need at least {need} events for {k} bins, got {len(intervals)}")

@@ -3,7 +3,6 @@
 import argparse
 import json
 import re
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -115,7 +114,7 @@ def test_chisq_in_chunks_equals_one_batch(capsys):
     engine = Engine(bytes.fromhex(HEX_SEED), RekeyPolicy.fuzzed(100_000))
     values, _ = uniform_batch(engine, bins, count)
     result = stats.chi_square_test(stats.Histogram.categorical(values, bins), [count / bins] * bins)
-    assert out == json.dumps({**asdict(result), "rekeys": engine.rekey_count}) + "\n"
+    assert out == json.dumps({**result._asdict(), "rekeys": engine.rekey_count}) + "\n"
 
 
 def test_chisq_bins_one_is_usage_error(capsys):

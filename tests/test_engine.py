@@ -27,6 +27,7 @@ from arc4rng.engine import (
     Engine,
     EntropyError,
     OsEntropy,
+    RekeyEvent,
     RekeyPolicy,
     StaticEntropy,
     events_to_csv,
@@ -60,6 +61,27 @@ def test_policy_validation():
     # numpy integers are accepted and stored as ints.
     assert RekeyPolicy.fixed(np.int64(1500)) == RekeyPolicy.fixed(1500)
     assert type(RekeyPolicy.fuzzed(np.uint32(600)).rekey_base) is int
+    assert type(RekeyPolicy.fixed(np.int64(1500)).fixed_interval) is int
+
+
+def test_policy_and_event_are_immutable_named_tuples():
+    policy = RekeyPolicy.fixed(1500)
+    # Every way to build a policy from fields goes through the same checks.
+    with pytest.raises(ValueError, match="fixed_interval"):
+        policy._replace(fixed_interval=2.5)
+    with pytest.raises(ValueError, match="mode"):
+        policy._replace(mode="weird")
+    with pytest.raises(ValueError, match="fixed_interval"):
+        RekeyPolicy._make(("fixed", 0, 1))
+    assert policy._replace(fixed_interval=np.int64(7)) == RekeyPolicy.fixed(7)
+    event = RekeyEvent(0, 0, 5)
+    for obj, field in ((policy, "fixed_interval"), (policy, "mode"), (event, "interval_chosen")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+    assert repr(policy) == "RekeyPolicy(mode='fixed', fixed_interval=1500, rekey_base=1048576)"
+    assert repr(event) == "RekeyEvent(ordinal=0, output_offset=0, interval_chosen=5)"
+    assert event == (0, 0, 5) and hash(event) == hash((0, 0, 5))
+    assert hash(policy) == hash(RekeyPolicy.fixed(np.int64(1500)))
 
 
 def _key_stream_bytes(budget):

@@ -1,5 +1,5 @@
 """Import cost: scalar use of arc4rng, and the CLI up to a usage error,
-never load numpy."""
+never load numpy; scalar use never loads dataclasses or inspect either."""
 
 import json
 import os
@@ -25,12 +25,16 @@ e.reseed(StaticEntropy(bytes(arc4rng.SEED_SIZE)))
 chi_square_p_value(3.0, 2)
 unresolved = [name for name in arc4rng.__all__ if not hasattr(arc4rng, name)]
 scalar_loaded_numpy = "numpy" in sys.modules
+scalar_loaded_dataclasses = "dataclasses" in sys.modules
+scalar_loaded_inspect = "inspect" in sys.modules
 
 batch = Engine(seed, RekeyPolicy.fixed(4096)).random_u32_batch(3)
 print(json.dumps({
     "rekeys": rekeys,
     "unresolved": unresolved,
     "scalar_loaded_numpy": scalar_loaded_numpy,
+    "scalar_loaded_dataclasses": scalar_loaded_dataclasses,
+    "scalar_loaded_inspect": scalar_loaded_inspect,
     "batch_loaded_numpy": "numpy" in sys.modules,
     "words": words,
     "batch": batch.tolist(),
@@ -65,6 +69,8 @@ def test_scalar_use_leaves_numpy_unloaded():
     assert result["rekeys"] == 2  # the initial stir and one at byte 4096
     assert result["unresolved"] == []
     assert not result["scalar_loaded_numpy"]
+    assert not result["scalar_loaded_dataclasses"]
+    assert not result["scalar_loaded_inspect"]
     assert result["batch_loaded_numpy"]
     assert result["batch"] == result["words"]
 

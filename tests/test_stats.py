@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -137,8 +136,11 @@ def test_p_value_matches_scipy(df):
 
 def test_result_json_schema():
     res = ChiSquareResult(statistic=5.0, df=2, p_value=0.0821)
-    payload = json.loads(json.dumps(asdict(res)))
+    payload = json.loads(json.dumps(res._asdict()))
     assert payload == {"statistic": 5.0, "df": 2, "p_value": 0.0821}
+    assert repr(res) == "ChiSquareResult(statistic=5.0, df=2, p_value=0.0821)"
+    with pytest.raises(AttributeError):
+        res.df = 3
 
 
 def test_chi_square_test_df():
@@ -152,11 +154,20 @@ def test_chi_square_test_df():
 def test_categorical_histogram():
     h = Histogram.categorical([0, 1, 1, 2, 2, 2], 4)
     assert h.bins == [1, 2, 3, 0]
+    assert h == ([1, 2, 3, 0],) and repr(h) == "Histogram(bins=[1, 2, 3, 0])"
     with pytest.raises(ValueError):
         Histogram.categorical([0, 5], 3)
     with pytest.raises(ValueError, match="k must be"):
         Histogram.categorical([0, 1], 2.5)
     assert Histogram.categorical([0, 1, 1], np.int64(4)).bins == [1, 2, 0, 0]
+    # Integer and bool arrays are binned; the empty list is no values at all.
+    assert Histogram.categorical(np.array([2, 0], dtype=np.uint8), 3).bins == [1, 0, 1]
+    assert Histogram.categorical(np.array([True, False, True]), 2).bins == [1, 2]
+    assert Histogram.categorical([], 3).bins == [0, 0, 0]
+    # Fractions are refused, never truncated; so are strings and objects.
+    for values in ([0.5, 1], [0.0, 1.0], ["0", "1"], np.array([0, 1], dtype=object)):
+        with pytest.raises(ValueError, match="values must be integers"):
+            Histogram.categorical(values, 3)
 
 
 # --- interval uniformity ---------------------------------------------------
@@ -211,6 +222,12 @@ def test_interval_uniformity_preconditions():
     assert interval_uniformity_test(events, np.int64(1000), np.int64(16)) == (
         interval_uniformity_test(events, 1000, 16)
     )
+    # A fractional interval is refused, not truncated to the integer below.
+    for shifted in ([e + 0.9 for e in events], [1000.0] + events[1:]):
+        with pytest.raises(ValueError, match="events must be integers"):
+            interval_uniformity_test(shifted, 1000, 16)
+    with pytest.raises(ValueError, match="events must be integers"):
+        interval_uniformity_test([str(e) for e in events], 1000, 16)
 
 
 def test_interval_uniformity_on_engine_events():
