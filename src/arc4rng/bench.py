@@ -6,29 +6,14 @@ in time" (relative to the reference) and "increase in performance" (relative
 to the candidate), the pair satisfying (1 - r/100) * (1 + i/100) = 1.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .engine import Engine, checked_int
+from .chacha import checked_int
+from .engine import Engine
 
-
-@dataclass
-class RunMeasurement:
-    wall_s: float
-    cpu_s: float
-    rekeys: int
-    bytes: int
-    policy: str
-    seed_hex: str
-
-
-@dataclass
-class BenchReport:
-    runs: list
-    mean_wall_s: float
-    mean_cpu_s: float
+RunMeasurement = namedtuple("RunMeasurement", "wall_s cpu_s rekeys bytes policy seed_hex")
+BenchReport = namedtuple("BenchReport", "runs mean_wall_s mean_cpu_s")
 
 
 def run_generation_bench(n_integers, policy, seed):
@@ -88,16 +73,8 @@ def compare_policies(n_integers, seeds, reference, candidate):
     return aggregate(ref_runs), aggregate(cand_runs)
 
 
-@dataclass
-class ComparisonRow:
-    metric: str
-    reference_s: float
-    candidate_s: float
-    reduction_pct: float
-    increase_pct: float
-
-
-COMPARISON_CSV_HEADER = "metric,reference_s,candidate_s,reduction_pct,increase_pct"
+ComparisonRow = namedtuple("ComparisonRow", "metric reference_s candidate_s reduction_pct increase_pct")
+COMPARISON_CSV_HEADER = ",".join(ComparisonRow._fields)
 
 
 def compare(reference, candidate):
@@ -125,9 +102,5 @@ def compare(reference, candidate):
 
 def comparison_csv(rows):
     lines = [COMPARISON_CSV_HEADER]
-    lines.extend(
-        f"{r.metric},{r.reference_s!r},{r.candidate_s!r},"
-        f"{r.reduction_pct!r},{r.increase_pct!r}"
-        for r in rows
-    )
+    lines.extend(",".join(map(str, r)) for r in rows)  # str of a float is its repr
     return "\n".join(lines) + "\n"

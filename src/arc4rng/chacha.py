@@ -8,8 +8,6 @@ itself. It is cross-checked against the reference block function in the test
 suite.
 """
 
-from __future__ import annotations
-
 import operator
 import struct
 

@@ -4,14 +4,11 @@ and rekey-interval dumps.
 Exit status: 0 on success, 2 for usage errors, 1 for runtime errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 
 from . import bench, sampler, stats
 from .engine import (
@@ -86,7 +83,7 @@ _OPTIONS = {
         type=int,
         default=argparse.SUPPRESS,
         metavar="BYTES",
-        help=f"REKEY_BASE for the fuzzed policy (default {DEFAULT_REKEY_BASE})",
+        help=f"REKEY_BASE for the fuzzed policy, 1..2^32 (default {DEFAULT_REKEY_BASE})",
     ),
 }
 
@@ -138,6 +135,11 @@ def cmd_chisq(args):
     return 0
 
 
+def _report_dict(report):
+    """A BenchReport as a JSON object; _asdict does not recurse into runs."""
+    return dict(report._asdict(), runs=[r._asdict() for r in report.runs])
+
+
 def cmd_compare(args):
     fixed, fuzzed = _policies(args, "fixed", "fuzzed")
     seed = _resolve_seed(args.seed)
@@ -150,9 +152,9 @@ def cmd_compare(args):
         else:
             json.dump(
                 {
-                    "reference": asdict(reference),
-                    "candidate": asdict(candidate),
-                    "comparison": [asdict(r) for r in rows],
+                    "reference": _report_dict(reference),
+                    "candidate": _report_dict(candidate),
+                    "comparison": [r._asdict() for r in rows],
                 },
                 out,
             )

@@ -3,15 +3,21 @@
 The engine keeps a 1024-byte keystream buffer. Every `count` output bytes it
 rekeys: the buffer is refilled from the current cipher, its first 44 bytes
 become the next key+nonce and are immediately zeroed, so no copy of the new
-key exists outside the cipher context and earlier output cannot be recomputed
-from later state.
+key exists outside the cipher context and output served before a rekey cannot
+be recomputed from the state after it.
+
+Keys are erased only at a rekey, so the backtracking window is the rekey
+budget: the current key and nonce (held by the cipher, and in snapshot())
+recompute every byte served since the last rekey except the first
+BUF_SIZE - SEED_SIZE, which the previous key's buffer supplied. OpenBSD's
+arc4random rekeys at every buffer refill instead, a window under 1 KiB.
 
 The rekey interval is set by a pluggable policy: a fixed byte budget
 (1,600,000 by default), or a randomized one drawn from the freshly installed
 key as REKEY_BASE + (fuzz % REKEY_BASE), making the interval unpredictable.
+Fuzz words below 2^32 mod REKEY_BASE are redrawn, as arc4random_uniform does,
+so the interval is uniform over [REKEY_BASE, 2 * REKEY_BASE).
 """
-
-from __future__ import annotations
 
 import os
 import struct
@@ -19,18 +25,20 @@ import weakref
 from collections import namedtuple
 
 from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_int
+from .sampler import min_accept
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
 BUF_SIZE = 1024
-FUZZ_SIZE = 4  # the fuzzed policy's word, drawn from each new key's stream
+FUZZ_SIZE = 4  # the fuzzed policy's words, drawn from each new key's stream
 
 DEFAULT_FIXED_INTERVAL = 1_600_000
 DEFAULT_REKEY_BASE = 1 << 20
 
 # The largest byte budget one key can serve without exhausting its block
-# counter. Under a key the cipher yields the fuzz word, whole BUF_SIZE refills
+# counter. Under a key the cipher yields one fuzz word, whole BUF_SIZE refills
 # for the output beyond the BUF_SIZE - SEED_SIZE bytes already buffered at the
-# rekey, and the next rekey's BUF_SIZE block.
+# rekey, and the next rekey's BUF_SIZE block. A fuzzed key may yield more fuzz
+# words, but its budget is below 2^33, far under this limit.
 MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
     (MAX_BLOCKS * BLOCK_SIZE - FUZZ_SIZE - BUF_SIZE) // BUF_SIZE * BUF_SIZE
 )
@@ -52,7 +60,8 @@ class RekeyPolicy(namedtuple("RekeyPolicy", "mode fixed_interval rekey_base")):
             raise ValueError(f"unknown policy mode: {mode!r}")
         # numpy integers are stored as ints
         fixed_interval = checked_int(fixed_interval, "fixed_interval", 1, MAX_BUDGET)
-        rekey_base = checked_int(rekey_base, "rekey_base", 1, MAX_BUDGET // 2)
+        # 32-bit fuzz words spread uniformly over at most 2^32 values
+        rekey_base = checked_int(rekey_base, "rekey_base", 1, 1 << 32)
         return super().__new__(cls, mode, fixed_interval, rekey_base)
 
     @classmethod
@@ -78,14 +87,12 @@ RekeyEvent = namedtuple("RekeyEvent", "ordinal output_offset interval_chosen")
 RekeyEvent.__doc__ = "One rekey: which output byte it happened at and the interval chosen."
 
 
-EVENTS_CSV_HEADER = "ordinal,output_offset,interval_chosen"
+EVENTS_CSV_HEADER = ",".join(RekeyEvent._fields)
 
 
 def events_to_csv(events):
     lines = [EVENTS_CSV_HEADER]
-    lines.extend(
-        f"{e.ordinal},{e.output_offset},{e.interval_chosen}" for e in events
-    )
+    lines.extend(",".join(map(str, e)) for e in events)
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +140,7 @@ class Engine:
 
     The output stream and the rekey-event log are deterministic functions of
     (seed, policy); request chunking changes neither. This holds because the
-    cipher only ever advances by whole BUF_SIZE refills (plus the fuzz word
+    cipher only ever advances by whole BUF_SIZE refills (plus the fuzz words
     after a rekey), whichever path serves a request, so each rekey takes its
     key from the same stream position.
 
@@ -197,9 +204,14 @@ class Engine:
     def _next_interval(self):
         if self.policy.mode == "fixed":
             return self.policy.fixed_interval
-        # Fuzz word drawn from the freshly installed key's stream.
-        fuzz = _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0]
-        return self.policy.rekey_base + fuzz % self.policy.rekey_base
+        # Fuzz words drawn from the freshly installed key's stream, those below
+        # arc4random_uniform's threshold redrawn, so fuzz % base is uniform.
+        base = self.policy.rekey_base
+        threshold = min_accept(base)
+        while True:
+            fuzz = _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0]
+            if fuzz >= threshold:
+                return base + fuzz % base
 
     def _fill(self, view):
         """Fill view with output, rekeying at every budget exhaustion.

@@ -5,9 +5,7 @@ exactly uniform. The algorithm is parameterized by word width so small widths
 can be tested by exhaustive enumeration.
 """
 
-from __future__ import annotations
-
-from .engine import checked_int
+from .chacha import checked_int
 
 
 def min_accept(upper_bound, width=32):

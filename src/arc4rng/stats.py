@@ -1,12 +1,10 @@
 """Chi-square goodness-of-fit machinery. For integer df the p-value is an
 exact finite sum (Abramowitz & Stegun 26.4.4 and 26.4.5)."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
-from .engine import checked_int
+from .chacha import checked_int
 
 
 def chi_square_p_value(statistic, df):

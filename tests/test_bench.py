@@ -1,7 +1,6 @@
 """Benchmark harness tests: run accounting, aggregation, percent tables."""
 
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -122,7 +121,7 @@ def test_comparison_csv_schema():
     )
     assert lines[1].split(",")[0] == "wall"
     assert lines[2].split(",")[0] == "cpu"
-    dicts = [asdict(r) for r in rows]
+    dicts = [r._asdict() for r in rows]
     assert set(dicts[0]) == {
         "metric", "reference_s", "candidate_s", "reduction_pct", "increase_pct",
     }
@@ -131,9 +130,19 @@ def test_comparison_csv_schema():
 def test_report_json_schema():
     m = run_generation_bench(400, RekeyPolicy.fixed(), SEED)
     rep = aggregate([m])
-    payload = json.loads(json.dumps(asdict(rep)))
+    payload = json.loads(json.dumps(dict(rep._asdict(), runs=[r._asdict() for r in rep.runs])))
     assert set(payload) == {"runs", "mean_wall_s", "mean_cpu_s"}
     assert set(payload["runs"][0]) == {
         "wall_s", "cpu_s", "rekeys", "bytes", "policy", "seed_hex",
     }
     assert payload["runs"][0]["seed_hex"] == SEED.hex()
+
+
+def test_run_measurement_is_an_immutable_named_tuple():
+    m = RunMeasurement(1.5, 0.25, 2, 400, "fixed(1600000)", "00")
+    with pytest.raises(AttributeError):
+        m.wall_s = 2.0
+    assert repr(m) == (
+        "RunMeasurement(wall_s=1.5, cpu_s=0.25, rekeys=2, bytes=400, "
+        "policy='fixed(1600000)', seed_hex='00')"
+    )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from arc4rng import chacha
 from arc4rng.chacha import (
     BLOCK_SIZE,
+    KEY_SIZE,
     MAX_BLOCKS,
     PIECE_SIZE,
     ChaCha20Stream,
@@ -34,6 +35,7 @@ from arc4rng.engine import (
     parse_seed_hex,
 )
 from arc4rng.sampler import uniform, uniform_batch, uniform_generic
+from arc4rng.stats import interval_uniformity_test
 
 ZERO_SEED = bytes(SEED_SIZE)
 SEED_A = bytes(range(SEED_SIZE))
@@ -97,7 +99,10 @@ def test_policy_budget_bounded_by_counter_space():
     assert _key_stream_bytes(MAX_BUDGET) <= key_space
     assert _key_stream_bytes(MAX_BUDGET + 1) > key_space
     assert RekeyPolicy.fixed(MAX_BUDGET).fixed_interval == MAX_BUDGET
-    assert RekeyPolicy.fuzzed(MAX_BUDGET // 2).rekey_base == MAX_BUDGET // 2
+    # A fuzz word is 32 bits, so a base above 2^32 could not be spread uniformly.
+    assert RekeyPolicy.fuzzed(2**32).rekey_base == 2**32
+    with pytest.raises(ValueError, match="rekey_base"):
+        RekeyPolicy.fuzzed(2**32 + 1)
     for bad in (MAX_BUDGET + 1, 2**40):
         with pytest.raises(ValueError):
             RekeyPolicy.fixed(bad)
@@ -173,18 +178,35 @@ def test_fixed_policy_interval_constant():
 
 def test_fuzz_interval_formula_edges():
     # Drive _next_interval with a stubbed cipher emitting chosen fuzz words.
+    # Base 1000 rejects words below 2^32 mod 1000 = 296 and draws the next.
     e = Engine(SEED_A, RekeyPolicy.fuzzed(base=1000))
 
     class StubCipher:
-        def __init__(self, word):
-            self.word = word
+        def __init__(self, *words):
+            self.words = iter(words)
 
         def xor(self, data):
-            return struct.pack("<I", self.word)
+            return struct.pack("<I", next(self.words))
 
-    for fuzz, expected in [(0, 1000), (1000, 1000), (999, 1999), (1500, 1500)]:
-        e._cipher = StubCipher(fuzz)
+    for words, expected in [
+        ((0, 1500), 1500),
+        ((295, 296), 1296),
+        ((1000,), 1000),
+        ((999,), 1999),
+        ((2**32 - 1,), 1295),
+    ]:
+        e._cipher = StubCipher(*words)
         assert e._next_interval() == expected
+
+
+def test_fuzzed_intervals_uniform_for_a_large_base():
+    # Base 3 * 2^30: fuzz % base took words below 2^30 twice as often as the
+    # rest, and 3,000 intervals read p = 4e-65 before rejected words were redrawn.
+    base = 3 << 30
+    e = Engine(SEED_A, RekeyPolicy.fuzzed(base=base))
+    for _ in range(3000):
+        e._rekey()
+    assert interval_uniformity_test(e.events, base).p_value > 1e-3
 
 
 def test_fuzzed_intervals_within_bounds():
@@ -204,6 +226,26 @@ def test_key_erasure_after_rekey():
     snap = e.snapshot()
     for i in range(len(old_key) - 15):
         assert old_key[i : i + 16] not in snap
+
+
+@pytest.mark.parametrize("policy", [RekeyPolicy.fixed(), RekeyPolicy.fuzzed()])
+def test_backtracking_window_is_the_rekey_budget(policy):
+    # Keys are erased only at a rekey: the key and nonce in a mid-budget
+    # snapshot recompute every byte served under them. That is all the output
+    # but the BUF_SIZE - SEED_SIZE bytes left buffered by the seed key, which
+    # the snapshot does not hold.
+    e = Engine(SEED_A, policy)
+    out = e.random_buf(min(1_500_000, e.count - 1))
+    assert e.rekey_count == 1
+    snap = e.snapshot()
+    lead = BUF_SIZE - SEED_SIZE
+    seed_stream = ChaCha20Stream(SEED_A[:KEY_SIZE], SEED_A[KEY_SIZE:])
+    assert seed_stream.keystream(BUF_SIZE)[SEED_SIZE:] == out[:lead]
+    assert SEED_A[:KEY_SIZE] not in snap
+    stream = ChaCha20Stream(snap[:KEY_SIZE], snap[KEY_SIZE:SEED_SIZE])
+    if policy.mode == "fuzzed":  # base 2^20 accepts every fuzz word
+        stream.keystream(FUZZ_SIZE)
+    assert stream.keystream(len(out) - lead) == out[lead:]
 
 
 def test_first_output_pinned_regression_vector():

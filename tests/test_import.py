@@ -1,5 +1,5 @@
 """Import cost: scalar use of arc4rng, and the CLI up to a usage error,
-never load numpy; scalar use never loads dataclasses or inspect either."""
+load neither numpy nor dataclasses nor inspect."""
 
 import json
 import os
@@ -42,14 +42,20 @@ print(json.dumps({
 """
 
 
-# The CLI parses its arguments and reports a usage error without numpy.
+# The CLI parses its arguments and reports a usage error without numpy,
+# dataclasses or inspect.
 CLI_CHILD = """
 import json, sys
 from arc4rng import cli
 
 cli.build_parser()
 code = cli.main(["gen", "--count", "0", "--seed", "00" * 44])
-print(json.dumps({"code": code, "loaded_numpy": "numpy" in sys.modules}))
+print(json.dumps({
+    "code": code,
+    "loaded_numpy": "numpy" in sys.modules,
+    "loaded_dataclasses": "dataclasses" in sys.modules,
+    "loaded_inspect": "inspect" in sys.modules,
+}))
 """
 
 
@@ -79,3 +85,5 @@ def test_cli_usage_error_leaves_numpy_unloaded():
     result = _run_child(CLI_CHILD)
     assert result["code"] == 2
     assert not result["loaded_numpy"]
+    assert not result["loaded_dataclasses"]
+    assert not result["loaded_inspect"]
