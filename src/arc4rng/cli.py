@@ -83,7 +83,7 @@ _OPTIONS = {
         type=int,
         default=argparse.SUPPRESS,
         metavar="BYTES",
-        help=f"REKEY_BASE for the fuzzed policy, 1..2^32 (default {DEFAULT_REKEY_BASE})",
+        help=f"REKEY_BASE for the fuzzed policy, 2..2^32 (default {DEFAULT_REKEY_BASE})",
     ),
 }
 

@@ -19,13 +19,14 @@ Fuzz words below 2^32 mod REKEY_BASE are redrawn, as arc4random_uniform does,
 so the interval is uniform over [REKEY_BASE, 2 * REKEY_BASE).
 """
 
+import functools
 import os
 import struct
 import weakref
 from collections import namedtuple
 
 from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_int
-from .sampler import min_accept
+from .sampler import uniform_generic
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
 BUF_SIZE = 1024
@@ -44,6 +45,8 @@ MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
 )
 
 _unpack_u32 = struct.Struct("<I").unpack_from
+# Write-only scratch for discarded keystream, private, made on the first discard
+_sink = functools.cache(lambda: memoryview(bytearray(PIECE_SIZE)))
 
 
 class EntropyError(Exception):
@@ -60,8 +63,8 @@ class RekeyPolicy(namedtuple("RekeyPolicy", "mode fixed_interval rekey_base")):
             raise ValueError(f"unknown policy mode: {mode!r}")
         # numpy integers are stored as ints
         fixed_interval = checked_int(fixed_interval, "fixed_interval", 1, MAX_BUDGET)
-        # 32-bit fuzz words spread uniformly over at most 2^32 values
-        rekey_base = checked_int(rekey_base, "rekey_base", 1, 1 << 32)
+        # 32-bit fuzz words spread uniformly over 2..2^32 values (1 draws none)
+        rekey_base = checked_int(rekey_base, "rekey_base", 2, 1 << 32)
         return super().__new__(cls, mode, fixed_interval, rekey_base)
 
     @classmethod
@@ -204,37 +207,38 @@ class Engine:
     def _next_interval(self):
         if self.policy.mode == "fixed":
             return self.policy.fixed_interval
-        # Fuzz words drawn from the freshly installed key's stream, those below
-        # arc4random_uniform's threshold redrawn, so fuzz % base is uniform.
+        # Fuzz words from the new key's stream, drawn as arc4random_uniform does
         base = self.policy.rekey_base
-        threshold = min_accept(base)
-        while True:
-            fuzz = _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0]
-            if fuzz >= threshold:
-                return base + fuzz % base
+        return base + uniform_generic(lambda: _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0], base)
 
-    def _fill(self, view):
-        """Fill view with output, rekeying at every budget exhaustion.
+    def _fill(self, view, n=None):
+        """Fill view with output (or, view None, discard n bytes), rekeying at
+        every budget exhaustion.
 
         Bytes come from the buffer first. Once it is drained, whole multiples
-        of BUF_SIZE go straight from the keystream and the remainder through a
-        buffer refill, so the cipher advances exactly as if every byte had
-        been staged through the buffer. The rekey fires at the exact output
-        byte where the budget hits zero, even mid-request, so the output
-        stream and the event log depend only on (seed, policy), never on how
-        requests are chunked.
+        of BUF_SIZE go straight from the keystream (into the sink, PIECE_SIZE
+        at most at a time, when discarding) and the remainder through a buffer
+        refill, so the cipher advances exactly as if every byte had been
+        staged through the buffer. The rekey fires at the exact output byte
+        where the budget hits zero, even mid-request, so the output stream and
+        the event log depend only on (seed, policy), never on request chunking.
         """
+        n = n if view is None else len(view)
         pos = 0
-        n = len(view)
         while pos < n:
             take = min(n - pos, self.count)
             if self._pos < BUF_SIZE:
                 take = min(take, BUF_SIZE - self._pos)
-                view[pos : pos + take] = self._buf[self._pos : self._pos + take]
+                if view is not None:
+                    view[pos : pos + take] = self._buf[self._pos : self._pos + take]
                 self._pos += take
             elif take >= BUF_SIZE:
                 take -= take % BUF_SIZE
-                self._cipher.keystream_into(view[pos : pos + take])
+                if view is None:
+                    take = min(take, PIECE_SIZE)
+                    self._cipher.keystream_into(_sink()[:take])
+                else:
+                    self._cipher.keystream_into(view[pos : pos + take])
             else:
                 self._cipher.keystream_into(self._buf)
                 self._pos = 0
@@ -247,19 +251,12 @@ class Engine:
     def random_buf(self, n):
         """Return n random bytes, rekeying whenever the byte budget is spent."""
         pos = self._pos
-        try:
-            end = pos + n
-            if end <= BUF_SIZE and 0 < n < self.count:
-                # Fast path: the request fits the buffer and leaves budget over.
-                out = self._buf[pos:end].tobytes()
-                n = len(out)  # an int even when the n given is a numpy integer
-                self._pos = pos + n
-                self.count -= n
-                return out
-        except TypeError:  # a non-integer n: checked_int below says so
-            pass
-        n = checked_int(n, "n")
-        out = bytearray(n)
+        if type(n) is int and 0 < n < self.count and pos + n <= BUF_SIZE:
+            # Fast path: the request fits the buffer and leaves budget over.
+            self._pos = pos + n
+            self.count -= n
+            return self._buf[pos : pos + n].tobytes()
+        out = bytearray(checked_int(n, "n"))
         self._fill(memoryview(out))
         return bytes(out)
 
@@ -282,16 +279,9 @@ class Engine:
         return out
 
     def discard(self, n):
-        """Consume n output bytes without materializing them all at once
-        (same accounting as one random_buf(n) call)."""
-        import numpy as np
-
-        n = checked_int(n, "n")
-        view = memoryview(np.empty(min(n, PIECE_SIZE), dtype=np.uint8))
-        while n:
-            take = min(n, len(view))
-            self._fill(view[:take])
-            n -= take
+        """Consume n output bytes without keeping them: same stream, events
+        and accounting as random_buf(n), in at most PIECE_SIZE of memory."""
+        self._fill(None, checked_int(n, "n"))
 
     def reseed(self, source):
         """Force a rekey with fresh entropy mixed in (OpenBSD's _rs_rekey).

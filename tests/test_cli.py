@@ -208,6 +208,7 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
         ["gen", "--count", "5", "--fixed-interval", "0"],
         ["gen", "--count", "5", "--policy", "fixed", "--fixed-interval", "0"],
         ["chisq", "--count", "100", "--rekey-base", "0"],
+        ["chisq", "--count", "100", "--rekey-base", "1"],
         ["compare", "--count", "100", "--fixed-interval", str(MAX_BUDGET + 1)],
         ["compare", "--count", "100", "--rekey-base", str(MAX_BUDGET)],
         ["intervals", "--rekey-base", "-1"],

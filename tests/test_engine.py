@@ -4,6 +4,7 @@ import json
 import os
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ def test_policy_budget_bounded_by_counter_space():
     assert RekeyPolicy.fuzzed(2**32).rekey_base == 2**32
     with pytest.raises(ValueError, match="rekey_base"):
         RekeyPolicy.fuzzed(2**32 + 1)
+    # Base 1 would draw no fuzz word: a fuzzed policy that never fuzzes.
+    assert RekeyPolicy.fuzzed(2).rekey_base == 2
+    with pytest.raises(ValueError, match="rekey_base"):
+        RekeyPolicy.fuzzed(1)
     for bad in (MAX_BUDGET + 1, 2**40):
         with pytest.raises(ValueError):
             RekeyPolicy.fixed(bad)
@@ -248,6 +253,74 @@ def test_backtracking_window_is_the_rekey_budget(policy):
     assert stream.keystream(len(out) - lead) == out[lead:]
 
 
+_WINDOW = 16  # bytes; a shared 16-byte run is no coincidence
+
+
+def _windows(data):
+    return {bytes(data[i : i + _WINDOW]) for i in range(len(data) - _WINDOW + 1)}
+
+
+@given(
+    policy=st.sampled_from(
+        [RekeyPolicy.fixed(1100), RekeyPolicy.fixed(2500), RekeyPolicy.fuzzed(512), RekeyPolicy.fuzzed(2048)]
+    ),
+    calls=st.lists(
+        st.one_of(
+            st.tuples(st.just("buf"), st.integers(0, 2500)),
+            st.tuples(st.just("u32"), st.just(None)),
+            st.tuples(st.just("discard"), st.integers(0, 2500)),
+            st.tuples(st.just("reseed"), st.binary(min_size=SEED_SIZE, max_size=SEED_SIZE)),
+        ),
+        max_size=12,
+    ),
+)
+@example(policy=RekeyPolicy.fixed(1100), calls=[("discard", 2500), ("buf", 2000), ("reseed", bytes(SEED_SIZE))])
+@settings(max_examples=100, deadline=None)
+def test_snapshot_recomputes_only_output_since_the_last_rekey(policy, calls):
+    # The backtracking window from both sides. A snapshot holds no earlier key,
+    # and neither it nor the keystream its key and nonce recompute holds
+    # output from before the last rekey; every byte after the BUF_SIZE -
+    # SEED_SIZE that the previous key's buffer supplied is recomputable.
+    e = Engine(SEED_A, policy)
+    twin = Engine(SEED_A, policy)  # serves the bytes that e discards
+    keys = [SEED_A[:KEY_SIZE], e._cipher.key]
+    rekey = e._rekey
+
+    def recorded_rekey(entropy=None):
+        rekey(entropy)
+        keys.append(e._cipher.key)
+
+    e._rekey = recorded_rekey
+    out = bytearray()
+    for kind, arg in calls:
+        if kind == "buf":
+            out += e.random_buf(arg)
+            assert twin.random_buf(arg) == out[len(out) - arg :]
+        elif kind == "u32":
+            out += struct.pack("<I", e.random_u32())
+            assert twin.random_buf(4) == out[-4:]
+        elif kind == "discard":
+            e.discard(arg)
+            out += twin.random_buf(arg)
+        else:
+            e.reseed(StaticEntropy(arg))
+            twin.reseed(StaticEntropy(arg))
+    assert e.total_out == len(out) and e.events == twin.events
+
+    snap = e.snapshot()
+    key, nonce = snap[:KEY_SIZE], snap[KEY_SIZE:SEED_SIZE]
+    assert key == keys[-1]
+    position = struct.unpack_from("<Q", snap, SEED_SIZE)[0]
+    recomputed = ChaCha20Stream(key, nonce).keystream(position)
+    for old_key in keys[:-1]:
+        assert not _windows(old_key) & _windows(snap)
+    since = e.events[-1].output_offset
+    assert not _windows(out[:since]) & (_windows(snap) | _windows(recomputed))
+    tail = out[since + BUF_SIZE - SEED_SIZE :]
+    skip = FUZZ_SIZE if policy.mode == "fuzzed" else 0  # a power-of-two base takes one word
+    assert recomputed[skip : skip + len(tail)] == tail
+
+
 def test_first_output_pinned_regression_vector():
     # Independently derived: the buffer after the initial stir holds bytes
     # 44..1024 of the seed cipher's keystream, so the first word is ks[44:48].
@@ -371,6 +444,20 @@ def test_discard_equals_random_buf(policy, skip, n):
         assert _state(a) == _state(b)
         assert a._cipher.position == b._cipher.position
         assert a.random_buf(5000) == b.random_buf(5000)
+
+
+def test_discard_allocates_no_scratch():
+    # Discarded keystream goes into one sink made on the first discard, so a
+    # later multi-MiB discard allocates next to nothing.
+    e = Engine(SEED_A, RekeyPolicy.fuzzed(1 << 20))
+    e.discard(3 << 20)
+    tracemalloc.start()
+    try:
+        e.discard(3 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_large_request_keeps_the_zero_block_fixed():

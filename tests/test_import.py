@@ -21,6 +21,7 @@ words = [e.random_u32() for _ in range(3)]
 e.random_buf(5000)  # crosses a buffer refill and a rekey
 uniform(e, 100)
 rekeys = e.rekey_count
+e.discard(5000)  # crosses a buffer refill and a rekey, through the sink
 e.reseed(StaticEntropy(bytes(arc4rng.SEED_SIZE)))
 chi_square_p_value(3.0, 2)
 unresolved = [name for name in arc4rng.__all__ if not hasattr(arc4rng, name)]
