@@ -1,7 +1,8 @@
 """Generation-time benchmark: fixed vs randomized rekey interval.
 
-Times the production of 39.6M 32-bit values (about 151 MiB) under each
-policy with bench.compare_policies: one untimed warm-up run, then for each
+Times the production of 39.6M 32-bit values (about 151 MiB, drawn in
+requests of 2^20 values as `arc4rng gen` draws them) under each policy
+with bench.compare_policies: one untimed warm-up run, then for each
 seed a fixed and a fuzzed run back to back with the same seed, fixed first
 for even-indexed seeds and fuzzed first for odd-indexed ones (ABBA). Prints
 the per-run times and the two-column percent table: "reduction in time" is

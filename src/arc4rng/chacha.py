@@ -140,17 +140,15 @@ class ChaCha20Stream:
         """Write the next len(view) keystream bytes into a writable buffer.
 
         Same stream position semantics as keystream(); avoids intermediate
-        copies for large requests.
+        copies for large requests. Written in pieces of at most PIECE_SIZE, so
+        the zero plaintext stays one piece long.
         """
         n = len(view)
         self._check(n)
-        if n <= PIECE_SIZE:
-            self._encryptor.update_into(_ZEROS[:n], view)
-        else:  # in pieces, so the zero plaintext stays one piece long
-            view = memoryview(view)  # slicing a bytearray would copy it
-            for start in range(0, n, PIECE_SIZE):
-                piece = view[start : start + PIECE_SIZE]
-                self._encryptor.update_into(_ZEROS[: len(piece)], piece)
+        view = memoryview(view)  # slicing a bytearray would copy it
+        for start in range(0, n, PIECE_SIZE):
+            piece = view[start : start + PIECE_SIZE]
+            self._encryptor.update_into(_ZEROS[: len(piece)], piece)
         self.position += n  # only once OpenSSL has accepted the buffer
 
     def xor(self, data):

@@ -25,7 +25,6 @@ from .engine import (
 
 EXIT_USAGE = 2
 EXIT_RUNTIME = 1
-CHUNK = 1 << 20  # values per engine call in gen and chisq
 
 
 class UsageError(Exception):
@@ -107,8 +106,8 @@ def _output(path, binary=False):
 def cmd_gen(args):
     engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     with _output(args.output, args.raw) as out:
-        for start in range(0, args.count, CHUNK):
-            values = engine.random_u32_batch(min(CHUNK, args.count - start))
+        for start in range(0, args.count, bench.CHUNK):
+            values = engine.random_u32_batch(min(bench.CHUNK, args.count - start))
             out.write(values.tobytes() if args.raw else "\n".join(map(str, values)) + "\n")
     if args.events:
         with open(args.events, "w") as f:
@@ -117,12 +116,14 @@ def cmd_gen(args):
 
 
 def cmd_chisq(args):
+    if args.bins > min(args.count, 1 << 32):  # 2^32: the sampler's largest bound
+        raise UsageError(f"--bins must be at most --count and 2^32, got {args.bins}")
     engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
     # Drawn and binned in chunks, so memory does not grow with --count; the
     # draws equal one uniform_batch(count) call's.
     counts = [0] * args.bins
-    for start in range(0, args.count, CHUNK):
-        values, _ = sampler.uniform_batch(engine, args.bins, min(CHUNK, args.count - start))
+    for start in range(0, args.count, bench.CHUNK):
+        values, _ = sampler.uniform_batch(engine, args.bins, min(bench.CHUNK, args.count - start))
         bins = stats.Histogram.categorical(values, args.bins).bins
         counts = [c + b for c, b in zip(counts, bins)]
     expected = [args.count / args.bins] * args.bins
@@ -167,6 +168,8 @@ def cmd_intervals(args):
     if args.rekeys < need:
         raise UsageError(f"--rekeys must be at least {need} for {args.bins} bins")
     (policy,) = _policies(args, "fuzzed")
+    if args.bins > policy.rekey_base:
+        raise UsageError(f"--bins must be at most --rekey-base ({policy.rekey_base}), got {args.bins}")
     engine = Engine(_resolve_seed(args.seed), policy)
     # Each discard drains exactly the current budget, which ends in one rekey.
     while engine.rekey_count < args.rekeys:

@@ -216,12 +216,13 @@ class Engine:
         every budget exhaustion.
 
         Bytes come from the buffer first. Once it is drained, whole multiples
-        of BUF_SIZE go straight from the keystream (into the sink, PIECE_SIZE
-        at most at a time, when discarding) and the remainder through a buffer
-        refill, so the cipher advances exactly as if every byte had been
-        staged through the buffer. The rekey fires at the exact output byte
-        where the budget hits zero, even mid-request, so the output stream and
-        the event log depend only on (seed, policy), never on request chunking.
+        of BUF_SIZE go straight from the keystream into the view (or the sink,
+        when discarding), PIECE_SIZE at most per pass, and the remainder
+        through a buffer refill, so the cipher advances exactly as if every
+        byte had been staged through the buffer. The rekey fires at the exact
+        output byte where the budget hits zero, even mid-request, so the
+        output stream and the event log depend only on (seed, policy), never
+        on request chunking.
         """
         n = n if view is None else len(view)
         pos = 0
@@ -233,12 +234,8 @@ class Engine:
                     view[pos : pos + take] = self._buf[self._pos : self._pos + take]
                 self._pos += take
             elif take >= BUF_SIZE:
-                take -= take % BUF_SIZE
-                if view is None:
-                    take = min(take, PIECE_SIZE)
-                    self._cipher.keystream_into(_sink()[:take])
-                else:
-                    self._cipher.keystream_into(view[pos : pos + take])
+                take = min(take - take % BUF_SIZE, PIECE_SIZE)
+                self._cipher.keystream_into(_sink()[:take] if view is None else view[pos : pos + take])
             else:
                 self._cipher.keystream_into(self._buf)
                 self._pos = 0

@@ -98,11 +98,13 @@ MIN_EVENTS_PER_BIN = 10
 def interval_uniformity_test(events, base, k=16):
     """Chi-square uniformity of fuzzed rekey intervals over [base, 2*base).
 
-    An interval outside [base, 2*base) is an engine invariant breach and
+    Offset x = interval - base falls in bin x * k // base (k <= base), and
+    each bin expects a share of the events in proportion to its width. An
+    interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
     base = checked_int(base, "base", 1)
-    k = checked_int(k, "k", 2)
+    k = checked_int(k, "k", 2, base)
     intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events")
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:
@@ -111,5 +113,6 @@ def interval_uniformity_test(events, base, k=16):
     if not base <= lo <= hi < 2 * base:
         raise ValueError(f"intervals {lo}..{hi} outside [{base}, {2 * base})")
     hist = Histogram.categorical((intervals - base) * k // base, k)
-    expected = [len(intervals) / k] * k
+    firsts = [-(-j * base // k) for j in range(k + 1)]  # bin j's least offset, then base
+    expected = [len(intervals) * (b - a) / base for a, b in zip(firsts, firsts[1:])]
     return chi_square_test(hist, expected)

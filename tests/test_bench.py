@@ -1,6 +1,7 @@
 """Benchmark harness tests: run accounting, aggregation, percent tables."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -125,6 +126,18 @@ def test_comparison_csv_schema():
     assert set(dicts[0]) == {
         "metric", "reference_s", "candidate_s", "reduction_pct", "increase_pct",
     }
+
+
+def test_run_memory_does_not_grow_with_the_count():
+    # Drawn in CHUNK-value requests: 10M values (40 MB) never live at once.
+    run_generation_bench(400, RekeyPolicy.fixed(), SEED)  # imports numpy
+    tracemalloc.start()
+    try:
+        run_generation_bench(10_000_000, RekeyPolicy.fixed(), SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_report_json_schema():

@@ -216,6 +216,9 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
         ["gen", "--count", "5", "--policy", "fuzzed", "--fixed-interval", "5"],
         ["chisq", "--count", "100", "--policy", "fixed", "--rekey-base", "4096"],
         ["intervals", "--bins", "1"],
+        ["chisq", "--count", "10", "--bins", "11"],
+        ["chisq", "--count", str(2**33), "--bins", str(2**32 + 1)],
+        ["intervals", "--rekeys", "200", "--rekey-base", "3", "--bins", "16"],
     ],
 )
 def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkeypatch):

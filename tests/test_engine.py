@@ -460,6 +460,28 @@ def test_discard_allocates_no_scratch():
     assert peak < 64 << 10
 
 
+def test_engine_keystream_calls_are_at_most_one_piece(monkeypatch):
+    # Views and discards alike reach the cipher PIECE_SIZE at most at a time,
+    # and the cipher ends where a twin fed in small requests ends.
+    sizes = []
+    keystream_into = ChaCha20Stream.keystream_into
+
+    def spy(self, view):
+        sizes.append(memoryview(view).nbytes)
+        keystream_into(self, view)
+
+    twin = Engine(SEED_A, RekeyPolicy.fixed(MAX_BUDGET))
+    left = 12_000_000 + (3 << 20)
+    while left:
+        left -= len(twin.random_buf(min(4096, left)))
+    monkeypatch.setattr(ChaCha20Stream, "keystream_into", spy)
+    e = Engine(SEED_A, RekeyPolicy.fixed(MAX_BUDGET))
+    e.random_u32_batch(3_000_000)
+    e.discard(3 << 20)
+    assert sizes and max(sizes) <= PIECE_SIZE
+    assert e.snapshot() == twin.snapshot()
+
+
 def test_large_request_keeps_the_zero_block_fixed():
     # 12 MB in one request: filled in PIECE_SIZE pieces, with the same output
     # as 1 MiB requests, and the shared zero plaintext stays one piece long.

@@ -188,8 +188,18 @@ def test_interval_uniformity_bin_edges():
     base, k = 1000, 16
     firsts = [base + -(-i * base // k) for i in range(k)]
     lasts = [base + -(-(i + 1) * base // k) - 1 for i in range(k)]
-    res = interval_uniformity_test((firsts + lasts) * 10, base, k)
-    assert res.statistic == 0.0
+    events = (firsts + lasts) * 10
+    res = interval_uniformity_test(events, base, k)
+    expected = [len(events) * (last + 1 - first) / base for first, last in zip(firsts, lasts)]
+    assert res.statistic == chi_square_statistic([20] * k, expected)
+
+
+@pytest.mark.parametrize("base, k", [(1000, 16), (15, 8), (3, 2)])
+def test_interval_uniformity_expects_counts_in_proportion_to_bin_width(base, k):
+    # Every offset equally often: bins of unequal width fill unequally, and
+    # exactly as expected.
+    events = [base + x for x in range(base)] * -(-10 * k // base)
+    assert interval_uniformity_test(events, base, k).statistic == 0.0
 
 
 def test_interval_uniformity_degenerate_concentration():
@@ -216,9 +226,9 @@ def test_interval_uniformity_preconditions():
     for base in (1000.0, "1000", None):
         with pytest.raises(ValueError, match="base must be"):
             interval_uniformity_test(events, base, 16)
-    for k in (2.5, "16", None):
+    for k in (2.5, "16", None, 1001):  # 1001: more bins than offsets
         with pytest.raises(ValueError, match="k must be"):
-            interval_uniformity_test(events, 1000, k)
+            interval_uniformity_test(events * 11, 1000, k)
     assert interval_uniformity_test(events, np.int64(1000), np.int64(16)) == (
         interval_uniformity_test(events, 1000, 16)
     )
