@@ -45,6 +45,7 @@ MAX_BUDGET = (BUF_SIZE - SEED_SIZE) + (
 )
 
 _unpack_u32 = struct.Struct("<I").unpack_from
+_LAST_U32 = BUF_SIZE - 4  # the last buffer offset random_u32's fast path reads
 # Write-only scratch for discarded keystream, private, made on the first discard
 _sink = functools.cache(lambda: memoryview(bytearray(PIECE_SIZE)))
 
@@ -260,7 +261,7 @@ class Engine:
     def random_u32(self):
         """One uniformly distributed 32-bit value; never fails."""
         pos = self._pos
-        if pos <= BUF_SIZE - 4 and 4 < self.count:
+        if pos <= _LAST_U32 and 4 < self.count:
             # Fast path: same bytes, same order as random_buf(4).
             self._pos = pos + 4
             self.count -= 4

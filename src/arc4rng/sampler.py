@@ -1,8 +1,9 @@
 """Unbiased bounded integers by rejection sampling (arc4random_uniform).
 
 Raw words below a threshold are discarded so the final modulo reduction is
-exactly uniform. The algorithm is parameterized by word width so small widths
-can be tested by exhaustive enumeration.
+exactly uniform. `uniform` is the 32-bit production loop. `uniform_generic`
+is its reference, parameterized by word width so small widths can be tested
+by exhaustive enumeration, and `uniform` falls back to it for other bounds.
 """
 
 from .chacha import checked_int
@@ -36,7 +37,18 @@ def uniform_generic(draw, upper_bound, width=32):
 
 
 def uniform(engine, upper_bound):
-    """arc4random_uniform: uniform 32-bit bounded draw from an engine."""
+    """arc4random_uniform: uniform 32-bit bounded draw from an engine.
+
+    A plain int bound in 2..2^32 is drawn in this frame, as OpenBSD does; any
+    other bound goes to uniform_generic, which checks it, with equal results.
+    """
+    if type(upper_bound) is int and 1 < upper_bound <= 1 << 32:
+        threshold = (1 << 32) % upper_bound  # min_accept(upper_bound, 32)
+        draw = engine.random_u32
+        r = draw()
+        while r < threshold:
+            r = draw()
+        return r % upper_bound
     return uniform_generic(engine.random_u32, upper_bound, 32)
 
 

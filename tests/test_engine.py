@@ -691,7 +691,10 @@ _CALLS = st.lists(
         st.tuples(st.just("buf"), st.integers(0, 64)),
         st.tuples(
             st.just("uniform"),
-            st.sampled_from([0, 1, 6, 100, 2**31 + 1, 2**32 - 1, 2**32]),
+            st.one_of(
+                st.sampled_from([0, 1, 2, 3, 6, 100, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]),
+                st.integers(2, 2**32),
+            ),
         ),
     ),
     max_size=150,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+from arc4rng import sampler
 from arc4rng.engine import SEED_SIZE, Engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,9 +31,14 @@ def test_tracer_wraps_every_entry_point(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        Engine(bytes(SEED_SIZE)).random_buf(5000)
+        e = Engine(bytes(SEED_SIZE))
+        e.random_buf(5000)
+        # uniform must look random_u32 up on the engine at call time, or the
+        # words it draws escape the engine layer's numbers
+        sampler.uniform(e, 2**31 + 1)
     finally:
         tracer.uninstall()
     assert [owner.__dict__[attr] for owner, attr, _, _ in tracing.ENTRY_POINTS] == originals
     recorded = {tracer.names[i] for i in tracer.name}
     assert {"engine.init", "engine.random_buf", "chacha.keystream_into"} <= recorded
+    assert {"sampler.uniform", "engine.random_u32"} <= recorded

@@ -1,6 +1,7 @@
 """Rejection-sampler tests, including exhaustive small-width enumeration."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,10 +54,26 @@ def test_degenerate_bounds_consume_nothing():
     e = Engine(SEED, RekeyPolicy.fixed())
     assert uniform(e, 0) == 0
     assert uniform(e, 1) == 0
+    # bools are integers 0 and 1, not plain ints: they take the checked path
+    assert uniform(e, False) == 0
+    assert uniform(e, True) == 0
     assert e.total_out == 0
 
 
-@pytest.mark.parametrize("bound", [-1, -(2**40), 2**32 + 1, 2**32 + 5, 2**33, 100.5])
+@pytest.mark.parametrize("bound", [np.uint32(100), np.int64(2**31 + 1), np.uint64(2**32)])
+def test_numpy_integer_bound_matches_int(bound):
+    a = Engine(SEED, RekeyPolicy.fuzzed(base=600))
+    b = Engine(SEED, RekeyPolicy.fuzzed(base=600))
+    got = [uniform(a, bound) for _ in range(300)]
+    want = [uniform(b, int(bound)) for _ in range(300)]
+    assert got == want
+    assert all(type(v) is int for v in got)
+    assert _state(a) == _state(b)
+
+
+@pytest.mark.parametrize(
+    "bound", [-1, -(2**40), 2**32 + 1, 2**32 + 5, 2**33, 100.5, "5", None, 2.0]
+)
 def test_out_of_range_bounds_rejected_before_drawing(bound):
     e = Engine(SEED, RekeyPolicy.fixed())
     with pytest.raises(ValueError):
@@ -77,9 +94,15 @@ def test_full_word_bound_returns_words():
 
 
 def test_rejection_edge():
-    threshold = min_accept(100, 32)
-    feed = iter([threshold - 1, threshold])
-    assert uniform_generic(feed.__next__, 100, 32) == threshold % 100
+    # Random words almost never land in the rejection band, so only a fed
+    # word just below the threshold shows a wrong threshold in uniform's loop.
+    for bound in [3, 6, 100, 1000, 2**31 + 1, 2**32 - 1]:
+        threshold = min_accept(bound, 32)
+        feed = iter([threshold - 1, threshold])
+        assert uniform_generic(feed.__next__, bound, 32) == threshold % bound
+        words = iter([threshold - 1, threshold, 0])
+        assert uniform(SimpleNamespace(random_u32=words.__next__), bound) == threshold % bound
+        assert list(words) == [0]  # exactly two words drawn
 
 
 def test_w8_bound3_exhaustive():
