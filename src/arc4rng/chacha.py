@@ -132,28 +132,26 @@ class ChaCha20Stream:
 
     def keystream(self, n):
         """Return the next n keystream bytes, advancing the context."""
-        out = bytearray(checked_int(n, "n"))
-        self.keystream_into(out)
-        return bytes(out)
+        return self.xor(bytes(checked_int(n, "n")))
 
     def keystream_into(self, view):
-        """Write the next len(view) keystream bytes into a writable buffer.
+        """Fill every byte of a writable C-contiguous buffer with keystream.
 
         Same stream position semantics as keystream(); avoids intermediate
         copies for large requests. Written in pieces of at most PIECE_SIZE, so
         the zero plaintext stays one piece long.
         """
+        view = memoryview(view).cast("B")  # bytes, not items; no bytearray copy
         n = len(view)
         self._check(n)
-        view = memoryview(view)  # slicing a bytearray would copy it
         for start in range(0, n, PIECE_SIZE):
             piece = view[start : start + PIECE_SIZE]
             self._encryptor.update_into(_ZEROS[: len(piece)], piece)
         self.position += n  # only once OpenSSL has accepted the buffer
 
     def xor(self, data):
-        """XOR bytes-like data with the next len(data) keystream bytes."""
-        n = len(data)
+        """XOR bytes-like data with as many keystream bytes as it holds."""
+        n = memoryview(data).nbytes
         self._check(n)
         out = self._encryptor.update(data)
         self.position += n

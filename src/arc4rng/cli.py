@@ -92,15 +92,12 @@ def _add_options(parser, *names):
         parser.add_argument(name, **_OPTIONS[name])
 
 
-@contextlib.contextmanager
 def _output(path, binary=False):
     """The file at path, opened for writing and closed on exit; stdout for
     None or "-"."""
     if path is None or path == "-":
-        yield sys.stdout.buffer if binary else sys.stdout
-    else:
-        with open(path, "wb" if binary else "w") as f:
-            yield f
+        return contextlib.nullcontext(sys.stdout.buffer if binary else sys.stdout)
+    return open(path, "wb" if binary else "w")
 
 
 def cmd_gen(args):

@@ -111,7 +111,7 @@ class StaticEntropy:
     """Deterministic seed source for tests; yields the same bytes every time."""
 
     def __init__(self, data):
-        self._data = bytes(data)
+        self._data = memoryview(data).tobytes()  # bytes-like only: bytes(44) is 44 zeros
 
     def read(self):
         return self._data
@@ -169,7 +169,6 @@ class Engine:
         self.policy = policy
         self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf = memoryview(bytearray(BUF_SIZE))  # slices without copying
-        self._pos = BUF_SIZE  # buffer starts empty
         self.count = 0
         self._budget_end = 0  # output offset where the current budget runs out
         self.events = []
@@ -189,15 +188,13 @@ class Engine:
         return self._budget_end - self.count
 
     def _rekey(self, entropy=None):
-        """Install the next key from a fresh BUF_SIZE keystream block, with
-        entropy (SEED_SIZE bytes) XORed into its first SEED_SIZE bytes."""
+        """Install the next key, as OpenBSD's _rs_rekey does: the first SEED_SIZE
+        bytes of a fresh BUF_SIZE keystream block, XOR entropy (None: zeros).
+        Every key comes this way: the initial stir, budget rekeys, reseed()
+        and the fork hook."""
         self._cipher.keystream_into(self._buf)
-        if entropy is not None:
-            self._buf[:SEED_SIZE] = bytes(a ^ b for a, b in zip(self._buf, entropy))
-        self._cipher = ChaCha20Stream(
-            bytes(self._buf[:KEY_SIZE]),
-            bytes(self._buf[KEY_SIZE:SEED_SIZE]),
-        )
+        seed = bytes(a ^ b for a, b in zip(self._buf, entropy or bytes(SEED_SIZE)))
+        self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
         self._pos = SEED_SIZE
         offset = self.total_out

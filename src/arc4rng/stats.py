@@ -80,7 +80,9 @@ def chi_square_statistic(observed, expected):
     exp = list(expected)
     if len(obs) != len(exp):
         raise ValueError(f"bin count mismatch: {len(obs)} observed, {len(exp)} expected")
-    if not all(0 < e < math.inf for e in exp):  # NaN fails this too
+    if not all(0 <= o < math.inf for o in obs):  # NaN fails this too
+        raise ValueError("every observed count must be finite and non-negative")
+    if not all(0 < e < math.inf for e in exp):
         raise ValueError("every expected count must be finite and positive")
     return float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
 

@@ -257,6 +257,31 @@ def test_rejected_buffer_leaves_position():
     assert ctx.keystream(64) == chacha_block(RFC_KEY, 0, RFC_NONCE)
 
 
+def test_buffers_of_wide_or_many_dimensional_items_count_bytes():
+    # len() of a 2-D or u32 buffer counts rows or items, not the bytes the
+    # cipher reads and writes; position must advance by the bytes.
+    ref = ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(1_000_000 + 4 + 16)
+    ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE)
+    square = np.zeros((1000, 1000), np.uint8)
+    ctx.keystream_into(square)
+    assert square.tobytes() == ref[:1_000_000] and ctx.position == 1_000_000
+    assert ctx.xor(np.zeros((2, 2), np.uint8)) == ref[1_000_000:1_000_004]
+    assert ctx.position == 1_000_004
+    words = np.zeros(4, np.uint32)
+    ctx.keystream_into(words)
+    assert words.tobytes() == ref[1_000_004:1_000_020] and ctx.position == 1_000_020
+    # A strided buffer, and u32 data to xor, are refused before position moves.
+    strided = np.zeros((4, 4), np.uint8)[:, ::2]
+    with pytest.raises(TypeError):
+        ctx.keystream_into(strided)
+    with pytest.raises(BufferError):
+        ctx.xor(strided)
+    with pytest.raises(TypeError):
+        ctx.xor(words)
+    assert ctx.position == 1_000_020
+    assert ctx.keystream(8) == ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(1_000_028)[-8:]
+
+
 def test_counter_exhaustion_is_an_error():
     ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, counter=MAX_BLOCKS - 1)
     ctx.keystream(64)  # last block is fine

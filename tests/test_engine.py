@@ -1,5 +1,6 @@
 """Engine tests: determinism, rekey mechanics, key erasure, accounting."""
 
+import hashlib
 import json
 import os
 import random
@@ -331,6 +332,52 @@ def test_first_output_pinned_regression_vector():
     assert e.random_u32() == 0x374AD8B8
 
 
+def _mixed_call_digest(policy, size, steps):
+    """sha256 over the output of a seeded mix of every drawing call, reseeds
+    included, then the event log and the final snapshot. size caps each
+    request in bytes."""
+    rng = random.Random(2024)
+    e = Engine(SEED_A, policy)
+    h = hashlib.sha256()
+    for _ in range(steps):
+        kind = rng.randrange(7)
+        if kind == 0:
+            h.update(struct.pack("<I", e.random_u32()))
+        elif kind == 1:
+            h.update(e.random_buf(rng.randrange(size)))
+        elif kind == 2:
+            h.update(struct.pack("<Q", uniform(e, rng.choice([2, 6, 100, 1000, 2**31 + 1, 2**32 - 1, 2**32]))))
+        elif kind == 3:
+            h.update(e.random_u32_batch(rng.randrange(size // 4)).tobytes())
+        elif kind == 4:
+            e.discard(rng.randrange(size))
+        elif kind == 5:
+            h.update(e.random_buf(rng.randrange(8)))
+        elif rng.randrange(4) == 0:
+            e.reseed(StaticEntropy(rng.randbytes(SEED_SIZE)))
+    h.update(events_to_csv(e.events).encode())
+    h.update(e.snapshot())
+    return e.rekey_count, h.hexdigest()
+
+
+# Digests recorded before the rekey paths were merged into one; any change to
+# the output stream, the event log or the snapshot layout changes them.
+@pytest.mark.parametrize(
+    "policy, size, steps, rekeys, digest",
+    [
+        (RekeyPolicy.fixed(), 800_000, 60, 7, "cf788c5513d91d84760d1b54aaeb691616c2b8bdf241b79bdf8782a900583821"),
+        (RekeyPolicy.fixed(5000), 3000, 400, 63, "594ac461b1987ea4b62a521e8108790ea9f86cb9c56582829af316d42a637b61"),
+        (RekeyPolicy.fuzzed(1 << 20), 600_000, 60, 6, "845f34931e9a28c07753a9c80d4189742f99bf365835f575ddf58d18e28ffa6b"),
+        (RekeyPolicy.fuzzed(4096), 3000, 400, 55, "1a16cac98b9461b100d0598264066f67af7a23993f4c639c30fa8dce821c21bb"),
+        (RekeyPolicy.fuzzed(600), 500, 400, 61, "234cea6f4f640ccda6811327de88feeb5bd2d0d502d856b886453b527ea0c979"),
+        (RekeyPolicy.fuzzed(2), 8, 120, 144, "b86b1f5fca7a83f1e1fecc4dde2efff343dbada141e626eb66f177f96f7b81dc"),
+    ],
+    ids=["fixed", "fixed5000", "fuzzed2^20", "fuzzed4096", "fuzzed600", "fuzzed2"],
+)
+def test_stream_pinned_past_many_rekeys(policy, size, steps, rekeys, digest):
+    assert _mixed_call_digest(policy, size, steps) == (rekeys, digest)
+
+
 def test_fixed_vs_fuzzed_diverge_at_first_refill():
     # The fuzz word consumes 4 bytes of the freshly installed key's stream at
     # the initial stir, so the streams split at the first buffer refill
@@ -633,6 +680,22 @@ def test_reseed_with_non_bytes_source_moves_no_state():
         a.reseed(StrSource())
     assert _state(a) == before
     assert a.random_buf(2000) == b.random_buf(2000)
+
+
+def test_static_entropy_takes_bytes_like_data_only():
+    # bytes(44) is 44 zero bytes and bytes(True) one: an int must not become
+    # an all-zero seed that passes the length check.
+    for bad in (SEED_SIZE, True, "k" * SEED_SIZE, None):
+        with pytest.raises(TypeError):
+            StaticEntropy(bad)
+    data = bytearray(range(SEED_SIZE))
+    source = StaticEntropy(data)
+    data[0] = 99  # the source keeps its own copy
+    assert source.read() == SEED_A
+    a, b = Engine(SEED_A, RekeyPolicy.fixed()), Engine(SEED_A, RekeyPolicy.fixed())
+    a.reseed(source)
+    b.reseed(StaticEntropy(SEED_A))
+    assert a.random_buf(64) == b.random_buf(64)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -56,6 +56,14 @@ def test_statistic_errors():
             chi_square_statistic([1, 2], [1.5, bad])
         with pytest.raises(ValueError, match="expected count"):
             chi_square_test([1, 2], [1.5, bad])
+    # Observed counts are checked the same way: a negative one read as a
+    # large statistic and a tiny p-value, a NaN one only as a bad statistic.
+    for bad in (-5, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="observed count"):
+            chi_square_statistic([bad, 15], [5, 5])
+        with pytest.raises(ValueError, match="observed count"):
+            chi_square_test(np.array([bad, 15.0]), [5, 5])
+    assert chi_square_statistic([0, 10], [5, 5]) == 10.0
 
 
 def test_statistic_permutation_invariant():
