@@ -11,7 +11,8 @@ suite.
 import operator
 import struct
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20  # bound once; module lookups are slow
 
 KEY_SIZE = 32
 NONCE_SIZE = 12
@@ -23,12 +24,12 @@ _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 
 
 def checked_int(value, name, lo=0, hi=None):
-    """value as an int in lo..hi (numpy integers too; no upper limit for
-    hi=None), else ValueError naming the parameter and its range."""
+    """value as an int in lo..hi (numpy integers too, bools not; no upper
+    limit for hi=None), else ValueError naming the parameter and its range."""
     try:
-        number = operator.index(value)
+        number = lo - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        number = lo - 1  # not an integer: fails the range check
+        number = lo - 1  # a bool or a non-integer fails the range check
     if lo <= number and (hi is None or number <= hi):
         return number
     raise ValueError(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
@@ -64,18 +65,19 @@ def words_to_bytes(words):
     return struct.pack("<16I", *words)
 
 
-def initial_state(key, counter, nonce):
-    """The 16-word ChaCha state matrix: constants, key, counter, nonce."""
+def _checked_counter(key, counter, nonce):
+    """counter as an int, once key and nonce have their RFC 8439 sizes."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-    return (
-        list(_CONSTANTS)
-        + list(struct.unpack("<8I", key))
-        + [checked_int(counter, "counter", 0, MAX_BLOCKS - 1)]
-        + list(struct.unpack("<3I", nonce))
-    )
+    return checked_int(counter, "counter", 0, MAX_BLOCKS - 1)
+
+
+def initial_state(key, counter, nonce):
+    """The 16-word ChaCha state matrix: constants, key, counter, nonce."""
+    counter = _checked_counter(key, counter, nonce)
+    return list(_CONSTANTS) + list(struct.unpack("<8I", key)) + [counter] + list(struct.unpack("<3I", nonce))
 
 
 def chacha_block(key, counter, nonce):
@@ -108,15 +110,12 @@ class ChaCha20Stream:
     """
 
     def __init__(self, key, nonce, counter=0):
-        # initial_state validates all three; its word 12 is the counter as an int
-        counter = initial_state(key, counter, nonce)[12]
-        self.key = bytes(key)
-        self.nonce = bytes(nonce)
+        counter = _checked_counter(key, counter, nonce)
+        self.key = memoryview(key).tobytes()  # bytes-like only, as for initial_state
+        self.nonce = memoryview(nonce).tobytes()
         self.position = counter * BLOCK_SIZE
         iv = struct.pack("<I", counter) + self.nonce
-        self._encryptor = Cipher(
-            algorithms.ChaCha20(self.key, iv), mode=None
-        ).encryptor()
+        self._encryptor = Cipher(ChaCha20(self.key, iv), mode=None).encryptor()
 
     @property
     def block_counter(self):

@@ -193,7 +193,8 @@ class Engine:
         Every key comes this way: the initial stir, budget rekeys, reseed()
         and the fork hook."""
         self._cipher.keystream_into(self._buf)
-        seed = bytes(a ^ b for a, b in zip(self._buf, entropy or bytes(SEED_SIZE)))
+        seed = int.from_bytes(self._buf[:SEED_SIZE], "little") ^ int.from_bytes(entropy or b"", "little")
+        seed = seed.to_bytes(SEED_SIZE, "little")
         self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
         self._pos = SEED_SIZE

@@ -11,7 +11,8 @@ vectors, one cached block at a time, read at byte offsets:
   one is at least 2^32 mod base (arc4random_uniform's rule), and the budget
   is base + word % base; under the fixed policy it is the fixed interval;
 - once the stir's bytes are served, output comes from the key's stream in
-  1,024-byte refills;
+  1,024-byte refills (`skip` steps over whole refills that a discard drops,
+  so the model follows the default budgets of a million bytes and more);
 - the next stir fires at the exact output byte where the budget runs out.
 """
 
@@ -72,6 +73,23 @@ class Model:
             if self.count == 0:
                 self.stir()
         return out
+
+    def skip(self, n):
+        """Consume n output bytes as read(n) does, stepping over the whole
+        1,024-byte refills that read would compute only to throw away."""
+        while n:
+            take = min(n, self.count)
+            if self.buf or take < STIR_SIZE:
+                take = min(take, len(self.buf) or take)
+                self.read(take)
+            else:
+                take -= take % STIR_SIZE
+                self.pos += take
+                self.count -= take
+                self.total_out += take
+                if self.count == 0:
+                    self.stir()
+            n -= take
 
     def uniform(self, bound):
         while bound > 1:

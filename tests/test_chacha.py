@@ -231,7 +231,7 @@ def test_counter_accounting():
 def test_integer_inputs_checked_before_state_moves(monkeypatch):
     built = []
     monkeypatch.setattr(chacha, "Cipher", lambda *a, **kw: built.append(a))
-    for counter in (1.5, "8", None):
+    for counter in (1.5, "8", None, True):
         with pytest.raises(ValueError, match="counter"):
             ChaCha20Stream(RFC_KEY, RFC_NONCE, counter)
     assert built == []  # no encryptor was built
@@ -240,11 +240,20 @@ def test_integer_inputs_checked_before_state_moves(monkeypatch):
     ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE, np.int64(3))
     ctx.keystream(10)
     assert type(ctx.position) is int and ctx.position == 3 * BLOCK_SIZE + 10
-    for n in (2.5, "3", -1, None):
+    for n in (2.5, "3", -1, None, True):
         with pytest.raises(ValueError, match="n must be"):
             ctx.keystream(n)
     assert ctx.position == 3 * BLOCK_SIZE + 10
     assert ctx.keystream(54) == chacha_block(RFC_KEY, 3, RFC_NONCE)[10:]
+
+
+def test_key_and_nonce_must_be_bytes_like():
+    # A list of ints can have the right length and still be no key or nonce.
+    for key, nonce in ((list(RFC_KEY), RFC_NONCE), (RFC_KEY, list(RFC_NONCE))):
+        with pytest.raises(TypeError):
+            ChaCha20Stream(key, nonce)
+        with pytest.raises(TypeError):
+            initial_state(key, 0, nonce)
 
 
 def test_rejected_buffer_leaves_position():

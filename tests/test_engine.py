@@ -62,6 +62,12 @@ def test_policy_validation():
         RekeyPolicy.fixed(1500.5)
     with pytest.raises(ValueError):
         RekeyPolicy.fuzzed(600.5)
+    # A bool is no budget: fixed(True) would rekey after every byte.
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="fixed_interval"):
+            RekeyPolicy.fixed(flag)
+        with pytest.raises(ValueError, match="rekey_base"):
+            RekeyPolicy.fuzzed(flag)
     # numpy integers are accepted and stored as ints.
     assert RekeyPolicy.fixed(np.int64(1500)) == RekeyPolicy.fixed(1500)
     assert type(RekeyPolicy.fuzzed(np.uint32(600)).rekey_base) is int
@@ -415,7 +421,7 @@ def _state(e):
     return e.snapshot(), e.count, e.total_out, list(e.events)
 
 
-@pytest.mark.parametrize("n", [2.5, 3000.5, 1e3, np.float64(4.0), "8", None])
+@pytest.mark.parametrize("n", [2.5, 3000.5, 1e3, np.float64(4.0), "8", None, True, False])
 def test_non_integer_n_rejected_before_state_moves(n):
     # 2.5 would take random_buf's fast path, 3000.5 its fill path.
     e = Engine(SEED_A, RekeyPolicy.fixed())
@@ -527,6 +533,29 @@ def test_engine_keystream_calls_are_at_most_one_piece(monkeypatch):
     e.discard(3 << 20)
     assert sizes and max(sizes) <= PIECE_SIZE
     assert e.snapshot() == twin.snapshot()
+
+
+@pytest.mark.parametrize("policy", [RekeyPolicy.fixed(4096), RekeyPolicy.fuzzed(4096)])
+def test_one_cipher_context_per_key(policy, monkeypatch):
+    # The seed's context, then one for each key installed: a budget rekey,
+    # a discard across rekeys or a reseed builds no second one.
+    built = []
+    init = ChaCha20Stream.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChaCha20Stream, "__init__", spy)
+    e = Engine(SEED_A, policy)
+    for i in range(5):
+        e.discard(e.count)
+        e.random_buf(3000)
+        e.reseed(StaticEntropy(bytes([i]) * SEED_SIZE))
+        e.discard(e.count + 9000)
+        e.random_buf(5000)
+    assert e.rekey_count > 15
+    assert len(built) == 1 + e.rekey_count
 
 
 def test_large_request_keeps_the_zero_block_fixed():

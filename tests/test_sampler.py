@@ -54,9 +54,10 @@ def test_degenerate_bounds_consume_nothing():
     e = Engine(SEED, RekeyPolicy.fixed())
     assert uniform(e, 0) == 0
     assert uniform(e, 1) == 0
-    # bools are integers 0 and 1, not plain ints: they take the checked path
-    assert uniform(e, False) == 0
-    assert uniform(e, True) == 0
+    # bools are no bounds: refused by the checked path before any draw
+    for bound in (False, True):
+        with pytest.raises(ValueError, match="upper_bound"):
+            uniform(e, bound)
     assert e.total_out == 0
 
 

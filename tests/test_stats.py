@@ -125,6 +125,8 @@ def test_p_value_errors():
         chi_square_p_value(math.nan, 5)
     with pytest.raises(ValueError):
         chi_square_p_value(5.0, 2.5)
+    with pytest.raises(ValueError, match="df must be"):
+        chi_square_p_value(3.0, True)
 
 
 @pytest.mark.parametrize("df", [1, 2, 3, 4, 15, 16, 99, 100, 255, 256, 999, 1000])
@@ -231,10 +233,10 @@ def test_interval_uniformity_preconditions():
     with pytest.raises(ValueError):
         interval_uniformity_test([1000] * 100, 1000, 1)
     events = list(range(1000, 2000))
-    for base in (1000.0, "1000", None):
+    for base in (1000.0, "1000", None, True):
         with pytest.raises(ValueError, match="base must be"):
             interval_uniformity_test(events, base, 16)
-    for k in (2.5, "16", None, 1001):  # 1001: more bins than offsets
+    for k in (2.5, "16", None, True, 1001):  # 1001: more bins than offsets
         with pytest.raises(ValueError, match="k must be"):
             interval_uniformity_test(events * 11, 1000, k)
     assert interval_uniformity_test(events, np.int64(1000), np.int64(16)) == (
