@@ -35,6 +35,16 @@ def checked_int(value, name, lo=0, hi=None):
     raise ValueError(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
 
 
+def checked_bytes(value, name, size):
+    """value's bytes if it is a C-contiguous buffer of size bytes (bytes, not
+    items): ValueError naming the parameter for another size, TypeError for a
+    non-buffer or a strided one."""
+    data = memoryview(value).cast("B")
+    if len(data) != size:
+        raise ValueError(f"{name} must be {size} bytes, got {len(data)}")
+    return data.tobytes()
+
+
 class CounterExhaustedError(Exception):
     """The 32-bit block counter would wrap; the caller must rekey instead."""
 
@@ -65,18 +75,11 @@ def words_to_bytes(words):
     return struct.pack("<16I", *words)
 
 
-def _checked_counter(key, counter, nonce):
-    """counter as an int, once key and nonce have their RFC 8439 sizes."""
-    if len(key) != KEY_SIZE:
-        raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
-    if len(nonce) != NONCE_SIZE:
-        raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-    return checked_int(counter, "counter", 0, MAX_BLOCKS - 1)
-
-
 def initial_state(key, counter, nonce):
     """The 16-word ChaCha state matrix: constants, key, counter, nonce."""
-    counter = _checked_counter(key, counter, nonce)
+    key = checked_bytes(key, "key", KEY_SIZE)
+    nonce = checked_bytes(nonce, "nonce", NONCE_SIZE)
+    counter = checked_int(counter, "counter", 0, MAX_BLOCKS - 1)
     return list(_CONSTANTS) + list(struct.unpack("<8I", key)) + [counter] + list(struct.unpack("<3I", nonce))
 
 
@@ -107,12 +110,16 @@ class ChaCha20Stream:
     counts the keystream bytes consumed under the key, starting at
     counter * BLOCK_SIZE. Going past 2^32 blocks under one key raises
     CounterExhaustedError rather than wrapping.
+
+    Every bytes parameter (key, nonce, xor's data, keystream_into's view) is
+    any C-contiguous buffer, counted in bytes; anything else raises TypeError
+    before position moves.
     """
 
     def __init__(self, key, nonce, counter=0):
-        counter = _checked_counter(key, counter, nonce)
-        self.key = memoryview(key).tobytes()  # bytes-like only, as for initial_state
-        self.nonce = memoryview(nonce).tobytes()
+        self.key = checked_bytes(key, "key", KEY_SIZE)
+        self.nonce = checked_bytes(nonce, "nonce", NONCE_SIZE)
+        counter = checked_int(counter, "counter", 0, MAX_BLOCKS - 1)
         self.position = counter * BLOCK_SIZE
         iv = struct.pack("<I", counter) + self.nonce
         self._encryptor = Cipher(ChaCha20(self.key, iv), mode=None).encryptor()
@@ -149,8 +156,9 @@ class ChaCha20Stream:
         self.position += n  # only once OpenSSL has accepted the buffer
 
     def xor(self, data):
-        """XOR bytes-like data with as many keystream bytes as it holds."""
-        n = memoryview(data).nbytes
+        """XOR a C-contiguous buffer with as many keystream bytes as it holds."""
+        data = memoryview(data).cast("B")
+        n = len(data)
         self._check(n)
         out = self._encryptor.update(data)
         self.position += n

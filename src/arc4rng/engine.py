@@ -25,7 +25,7 @@ import struct
 import weakref
 from collections import namedtuple
 
-from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_int
+from .chacha import BLOCK_SIZE, KEY_SIZE, MAX_BLOCKS, NONCE_SIZE, PIECE_SIZE, ChaCha20Stream, checked_bytes, checked_int
 from .sampler import uniform_generic
 
 SEED_SIZE = KEY_SIZE + NONCE_SIZE  # 44
@@ -111,7 +111,7 @@ class StaticEntropy:
     """Deterministic seed source for tests; yields the same bytes every time."""
 
     def __init__(self, data):
-        self._data = memoryview(data).tobytes()  # bytes-like only: bytes(44) is 44 zeros
+        self._data = memoryview(data).cast("B").tobytes()  # a buffer of any size: 44 raises, not bytes(44)
 
     def read(self):
         return self._data
@@ -119,10 +119,10 @@ class StaticEntropy:
 
 def _read_seed(source):
     """SEED_SIZE bytes from a seed source, or EntropyError."""
-    seed = source.read()
+    seed = memoryview(source.read()).cast("B")  # as checked_bytes: a str raises TypeError
     if len(seed) != SEED_SIZE:
         raise EntropyError(f"seed source yielded {len(seed)} bytes, need {SEED_SIZE}")
-    return bytes(seed)  # a str raises TypeError here, before any state moves
+    return seed.tobytes()
 
 
 def parse_seed_hex(seed_hex):
@@ -160,8 +160,7 @@ class Engine:
     _live = weakref.WeakSet()  # every live engine, rekeyed in a forked child
 
     def __init__(self, seed, policy=None):
-        if len(seed) != SEED_SIZE:
-            raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
+        seed = checked_bytes(seed, "seed", SEED_SIZE)
         if policy is None:
             policy = RekeyPolicy.fuzzed()
         elif not isinstance(policy, RekeyPolicy):

@@ -1,22 +1,13 @@
 """Unbiased bounded integers by rejection sampling (arc4random_uniform).
 
-Raw words below a threshold are discarded so the final modulo reduction is
-exactly uniform. `uniform` is the 32-bit production loop. `uniform_generic`
-is its reference, parameterized by word width so small widths can be tested
-by exhaustive enumeration, and `uniform` falls back to it for other bounds.
+Raw words below the threshold 2^w % bound (OpenBSD's -bound % bound) are
+discarded, so the final modulo reduction is exactly uniform. `uniform` is the
+32-bit production loop. `uniform_generic` is its reference, parameterized by
+word width so small widths can be tested by exhaustive enumeration, and
+`uniform` falls back to it for other bounds.
 """
 
 from .chacha import checked_int
-
-
-def min_accept(upper_bound, width=32):
-    """Smallest raw word that is accepted: (2^w - bound) mod bound.
-
-    Computed wrap-free; the naive 2^w does not fit in a w-bit word.
-    """
-    if upper_bound < 1:
-        raise ValueError("upper_bound must be >= 1")
-    return ((1 << width) - upper_bound) % upper_bound
 
 
 def uniform_generic(draw, upper_bound, width=32):
@@ -29,7 +20,7 @@ def uniform_generic(draw, upper_bound, width=32):
     upper_bound = checked_int(upper_bound, "upper_bound", 0, 1 << width)
     if upper_bound < 2:
         return 0
-    threshold = min_accept(upper_bound, width)
+    threshold = (1 << width) % upper_bound
     while True:
         r = draw()
         if r >= threshold:
@@ -43,7 +34,7 @@ def uniform(engine, upper_bound):
     other bound goes to uniform_generic, which checks it, with equal results.
     """
     if type(upper_bound) is int and 1 < upper_bound <= 1 << 32:
-        threshold = (1 << 32) % upper_bound  # min_accept(upper_bound, 32)
+        threshold = (1 << 32) % upper_bound
         draw = engine.random_u32
         r = draw()
         while r < threshold:
@@ -67,7 +58,7 @@ def uniform_batch(engine, upper_bound, n):
         return np.zeros(n, dtype=np.uint32), 0
     if upper_bound == 1 << 32:  # every word is accepted as it is
         return engine.random_u32_batch(n), n
-    threshold = min_accept(upper_bound, 32)
+    threshold = (1 << 32) % upper_bound
     b = np.uint32(upper_bound)
     out = np.empty(n, dtype=np.uint32)
     filled = 0

@@ -269,7 +269,7 @@ def test_rejected_buffer_leaves_position():
 def test_buffers_of_wide_or_many_dimensional_items_count_bytes():
     # len() of a 2-D or u32 buffer counts rows or items, not the bytes the
     # cipher reads and writes; position must advance by the bytes.
-    ref = ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(1_000_000 + 4 + 16)
+    ref = ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(1_000_000 + 4 + 16 + 16 + 8)
     ctx = ChaCha20Stream(RFC_KEY, RFC_NONCE)
     square = np.zeros((1000, 1000), np.uint8)
     ctx.keystream_into(square)
@@ -279,16 +279,17 @@ def test_buffers_of_wide_or_many_dimensional_items_count_bytes():
     words = np.zeros(4, np.uint32)
     ctx.keystream_into(words)
     assert words.tobytes() == ref[1_000_004:1_000_020] and ctx.position == 1_000_020
-    # A strided buffer, and u32 data to xor, are refused before position moves.
+    # A strided buffer is refused by both before position moves.
     strided = np.zeros((4, 4), np.uint8)[:, ::2]
     with pytest.raises(TypeError):
         ctx.keystream_into(strided)
-    with pytest.raises(BufferError):
-        ctx.xor(strided)
     with pytest.raises(TypeError):
-        ctx.xor(words)
+        ctx.xor(strided)
     assert ctx.position == 1_000_020
-    assert ctx.keystream(8) == ChaCha20Stream(RFC_KEY, RFC_NONCE).keystream(1_000_028)[-8:]
+    # u32 data to xor counts its bytes, as keystream_into does.
+    want = bytes(a ^ b for a, b in zip(words.tobytes(), ref[1_000_020:1_000_036]))
+    assert ctx.xor(words) == want and ctx.position == 1_000_036
+    assert ctx.keystream(8) == ref[-8:]
 
 
 def test_counter_exhaustion_is_an_error():

@@ -48,6 +48,15 @@ def test_gen_bad_seed_hex_is_usage_error(capsys):
     assert "seed" in err
 
 
+def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
+    # The options are valid; only opening the file fails, once the work runs.
+    out_file = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "gen", "--count", "1", "--seed", HEX_SEED, "-o", str(out_file))
+    assert code == EXIT_RUNTIME == 1
+    assert err.startswith("error:") and out == ""
+    assert not out_file.parent.exists()
+
+
 def test_gen_events_csv(tmp_path, capsys):
     events = tmp_path / "events.csv"
     code, out, _ = run_cli(

@@ -17,10 +17,12 @@ from arc4rng.chacha import (
     BLOCK_SIZE,
     KEY_SIZE,
     MAX_BLOCKS,
+    NONCE_SIZE,
     PIECE_SIZE,
     ChaCha20Stream,
     CounterExhaustedError,
     chacha_block,
+    initial_state,
 )
 from arc4rng.engine import (
     BUF_SIZE,
@@ -725,6 +727,69 @@ def test_static_entropy_takes_bytes_like_data_only():
     a.reseed(source)
     b.reseed(StaticEntropy(SEED_A))
     assert a.random_buf(64) == b.random_buf(64)
+
+
+class _Source:
+    """Seed source whose read() returns the object it was given."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def read(self):
+        return self.value
+
+
+def _reseeded(e, source):
+    e.reseed(source)
+    return e.random_buf(64)
+
+
+_NONCE = bytes(range(100, 100 + NONCE_SIZE))
+_KEY = SEED_A[:KEY_SIZE]
+# Each bytes parameter: its size (None: any), the error for a wrong size, and
+# a call that passes the value on and returns what was made of it.
+_BYTES_PARAMETERS = [
+    pytest.param(KEY_SIZE, ValueError, lambda e, s, v: ChaCha20Stream(v, _NONCE).keystream(64), id="ChaCha20Stream key"),
+    pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: ChaCha20Stream(_KEY, v).keystream(64), id="ChaCha20Stream nonce"),
+    pytest.param(KEY_SIZE, ValueError, lambda e, s, v: initial_state(v, 1, _NONCE), id="initial_state key"),
+    pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: initial_state(_KEY, 1, v), id="initial_state nonce"),
+    pytest.param(SEED_SIZE, ValueError, lambda e, s, v: Engine(v, RekeyPolicy.fixed()).random_buf(64), id="Engine seed"),
+    pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, StaticEntropy(v)), id="StaticEntropy data"),
+    pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, _Source(v)), id="reseed source read()"),
+    pytest.param(None, None, lambda e, s, v: s.xor(v), id="xor data"),
+]
+
+
+def _engine_and_stream():
+    """An engine past its first budget rekey and a stream part way in."""
+    e = Engine(SEED_A, RekeyPolicy.fixed(300))
+    e.random_buf(500)
+    s = ChaCha20Stream(_KEY, _NONCE)
+    s.keystream(100)
+    return e, s
+
+
+@pytest.mark.parametrize("size, size_error, call", _BYTES_PARAMETERS)
+def test_every_bytes_parameter_takes_a_contiguous_buffer_counted_in_bytes(size, size_error, call):
+    # One rule for every bytes input: any C-contiguous buffer, counted in
+    # bytes, not items; anything else raises TypeError before state moves.
+    data = bytes(range(7, 7 + (size or 16)))
+    want = call(*_engine_and_stream(), data)
+    u8 = np.frombuffer(data, np.uint8)
+    for same in (bytearray(data), memoryview(data), u8, u8.view(np.uint32), u8.reshape(2, -1)):
+        assert call(*_engine_and_stream(), same) == want, type(same)
+
+    strided = np.frombuffer(data * 2, np.uint8)[::2]
+    refused = [(bad, TypeError, None) for bad in (list(data), data.decode("latin-1"), len(data), True, None, strided)]
+    if size is not None:
+        # One u32 item too many: the message counts its bytes, not its items.
+        refused.append((np.zeros(size // 4 + 1, np.uint32), size_error, rf"\b{size + 4}\b"))
+    for bad, error, match in refused:
+        e, s = _engine_and_stream()
+        before = _state(e), s.position
+        with pytest.raises(error, match=match):
+            call(e, s, bad)
+        assert (_state(e), s.position) == before, repr(bad)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

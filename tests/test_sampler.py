@@ -9,12 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arc4rng.engine import SEED_SIZE, Engine, RekeyPolicy
-from arc4rng.sampler import (
-    min_accept,
-    uniform,
-    uniform_batch,
-    uniform_generic,
-)
+from arc4rng.sampler import uniform, uniform_batch, uniform_generic
 
 SEED = bytes(range(SEED_SIZE))
 
@@ -33,15 +28,6 @@ def exhaust_cycle(upper_bound, width):
     except StopIteration:
         pass
     return results
-
-
-def test_min_accept_values():
-    assert min_accept(3, 8) == (256 - 3) % 3 == 1
-    assert min_accept(5, 4) == (16 - 5) % 5 == 1
-    assert min_accept(256, 8) == 0
-    assert min_accept(100, 32) == 96
-    with pytest.raises(ValueError):
-        min_accept(0, 8)
 
 
 def test_degenerate_bounds_consume_nothing():
@@ -94,16 +80,38 @@ def test_full_word_bound_returns_words():
     assert list(values) == [uniform(c, 2**32) for _ in range(50)]
 
 
+class _FedWords:
+    """Stand-in engine whose random_u32_batch serves the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint32)
+
+    def random_u32_batch(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return out
+
+
 def test_rejection_edge():
-    # Random words almost never land in the rejection band, so only a fed
-    # word just below the threshold shows a wrong threshold in uniform's loop.
-    for bound in [3, 6, 100, 1000, 2**31 + 1, 2**32 - 1]:
-        threshold = min_accept(bound, 32)
+    # Random words almost never land in the rejection band, so only fed words
+    # at the threshold show a wrong one. The thresholds, 2^w % bound, are
+    # written out rather than recomputed by the formula under test.
+    for bound, threshold in [(3, 1), (6, 4), (100, 96), (1000, 296), (2**31 + 1, 2**31 - 1), (2**32 - 1, 1)]:
         feed = iter([threshold - 1, threshold])
         assert uniform_generic(feed.__next__, bound, 32) == threshold % bound
         words = iter([threshold - 1, threshold, 0])
         assert uniform(SimpleNamespace(random_u32=words.__next__), bound) == threshold % bound
         assert list(words) == [0]  # exactly two words drawn
+        # The batch asks again for the values still missing after a rejection.
+        engine = _FedWords([threshold - 1, threshold, threshold - 1, threshold - 1, threshold + 1])
+        values, drawn = uniform_batch(engine, bound, 2)
+        assert values.tolist() == [threshold % bound, (threshold + 1) % bound]
+        assert drawn == 5 and len(engine.words) == 0
+    for bound, width, threshold in [(3, 8, 1), (5, 4, 1)]:
+        feed = iter([threshold - 1, threshold])
+        assert uniform_generic(feed.__next__, bound, width) == threshold % bound
+    feed = iter([0, 1])
+    assert uniform_generic(feed.__next__, 256, 8) == 0  # threshold 0: word 0 is kept
+    assert list(feed) == [1]
 
 
 def test_w8_bound3_exhaustive():
