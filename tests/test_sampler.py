@@ -30,6 +30,18 @@ def exhaust_cycle(upper_bound, width):
     return results
 
 
+def test_min_accept_values():
+    # The smallest accepted word, 2^w % bound, written out per width: the word
+    # below it is rejected and the word at it is kept.
+    for bound, width, threshold in [(3, 8, 1), (5, 4, 1), (100, 32, 96)]:
+        feed = iter([threshold - 1, threshold, 0])
+        assert uniform_generic(feed.__next__, bound, width) == threshold % bound
+        assert list(feed) == [0]  # exactly two words drawn
+    feed = iter([0, 1])
+    assert uniform_generic(feed.__next__, 256, 8) == 0  # threshold 0: word 0 is kept
+    assert list(feed) == [1]
+
+
 def test_degenerate_bounds_consume_nothing():
     def explode():
         raise AssertionError("must not draw")
@@ -106,12 +118,6 @@ def test_rejection_edge():
         values, drawn = uniform_batch(engine, bound, 2)
         assert values.tolist() == [threshold % bound, (threshold + 1) % bound]
         assert drawn == 5 and len(engine.words) == 0
-    for bound, width, threshold in [(3, 8, 1), (5, 4, 1)]:
-        feed = iter([threshold - 1, threshold])
-        assert uniform_generic(feed.__next__, bound, width) == threshold % bound
-    feed = iter([0, 1])
-    assert uniform_generic(feed.__next__, 256, 8) == 0  # threshold 0: word 0 is kept
-    assert list(feed) == [1]
 
 
 def test_w8_bound3_exhaustive():
