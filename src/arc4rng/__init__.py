@@ -16,7 +16,6 @@ from .engine import (
     RekeyEvent,
     RekeyPolicy,
     StaticEntropy,
-    parse_seed_hex,
 )
 from .sampler import uniform, uniform_batch, uniform_generic
 from .stats import (
@@ -48,7 +47,6 @@ __all__ = [
     "chi_square_statistic",
     "chi_square_test",
     "interval_uniformity_test",
-    "parse_seed_hex",
     "quarter_round",
     "uniform",
     "uniform_batch",

@@ -37,7 +37,7 @@ def run_generation_bench(n_integers, policy, seed):
         rekeys=engine.rekey_count,
         bytes=engine.total_out,
         policy=policy.describe(),
-        seed_hex=seed.hex(),
+        seed_hex=memoryview(seed).hex(),
     )
 
 

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import bench, sampler, stats
+from .chacha import checked_bytes
 from .engine import (
     DEFAULT_FIXED_INTERVAL,
     DEFAULT_REKEY_BASE,
@@ -20,7 +21,6 @@ from .engine import (
     OsEntropy,
     RekeyPolicy,
     events_to_csv,
-    parse_seed_hex,
 )
 
 EXIT_USAGE = 2
@@ -35,9 +35,9 @@ def _resolve_seed(seed_arg):
     if seed_arg == "os":
         return OsEntropy().read()
     try:
-        return parse_seed_hex(seed_arg)
+        return checked_bytes(bytes.fromhex(seed_arg), "seed", SEED_SIZE)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"--seed must be {2 * SEED_SIZE} hex characters or os ({exc})") from None
 
 
 _BUDGET_OF = {"fixed": "fixed_interval", "fuzzed": "rekey_base"}

@@ -119,24 +119,11 @@ class StaticEntropy:
 
 def _read_seed(source):
     """SEED_SIZE bytes from a seed source, or EntropyError."""
-    seed = memoryview(source.read()).cast("B")  # as checked_bytes: a str raises TypeError
-    if len(seed) != SEED_SIZE:
-        raise EntropyError(f"seed source yielded {len(seed)} bytes, need {SEED_SIZE}")
-    return seed.tobytes()
-
-
-def parse_seed_hex(seed_hex):
-    """Parse an 88-hex-character string into a 44-byte seed."""
+    seed = source.read()
     try:
-        seed = bytes.fromhex(seed_hex)
+        return checked_bytes(seed, "seed", SEED_SIZE)
     except ValueError as exc:
-        raise ValueError(f"seed is not valid hex: {exc}") from None
-    if len(seed) != SEED_SIZE:
-        raise ValueError(
-            f"seed must be {2 * SEED_SIZE} hex characters ({SEED_SIZE} bytes), "
-            f"got {len(seed)} bytes"
-        )
-    return seed
+        raise EntropyError(str(exc)) from None
 
 
 class Engine:

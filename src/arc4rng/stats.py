@@ -88,9 +88,9 @@ def chi_square_statistic(observed, expected):
 
 
 def chi_square_test(observed, expected):
-    """Full test: statistic, df = bins - 1, upper-tail p-value."""
+    """Full test: statistic, df = bins - 1 (2 bins at least), upper-tail p-value."""
     statistic = chi_square_statistic(observed, expected)
-    df = len(expected) - 1
+    df = checked_int(len(expected), "bins", 2) - 1
     return ChiSquareResult(statistic, df, chi_square_p_value(statistic, df))
 
 

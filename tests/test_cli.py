@@ -9,7 +9,7 @@ import pytest
 
 from arc4rng import bench, stats
 from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, _derive_run_seed, build_parser, main
-from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy, parse_seed_hex
+from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy
 from arc4rng.sampler import uniform_batch
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
@@ -42,10 +42,15 @@ def test_gen_count_zero_is_usage_error(capsys):
     assert "count" in err
 
 
-def test_gen_bad_seed_hex_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "gen", "--count", "5", "--seed", "nothex")
-    assert code == EXIT_USAGE
-    assert "seed" in err
+def test_gen_bad_seed_hex_is_usage_error(capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built before the seed was checked")
+
+    monkeypatch.setattr(Engine, "__init__", no_engine)
+    for seed in ("nothex", "zz" * SEED_SIZE, "00" * (SEED_SIZE - 1), "00" * (SEED_SIZE + 1)):
+        code, out, err = run_cli(capsys, "gen", "--count", "5", "--seed", seed)
+        assert code == EXIT_USAGE and out == "", seed
+        assert err.startswith(f"error: --seed must be {2 * SEED_SIZE} hex characters"), seed
 
 
 def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
@@ -69,7 +74,7 @@ def test_gen_events_csv(tmp_path, capsys):
     assert lines[0] == "ordinal,output_offset,interval_chosen"
     assert len(lines) > 2
 
-    engine = Engine(parse_seed_hex(HEX_SEED), RekeyPolicy.fuzzed(base=512))
+    engine = Engine(bytes.fromhex(HEX_SEED), RekeyPolicy.fuzzed(base=512))
     engine.random_u32_batch(500)
     assert len(lines) == engine.rekey_count + 1
 
@@ -83,7 +88,7 @@ def test_gen_raw_output(tmp_path, capsys):
     )
     assert code == 0
     data = out_file.read_bytes()
-    engine = Engine(parse_seed_hex(HEX_SEED), RekeyPolicy.fixed())
+    engine = Engine(bytes.fromhex(HEX_SEED), RekeyPolicy.fixed())
     assert data == engine.random_buf(400)
 
 

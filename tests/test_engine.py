@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 import random
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arc4rng import chacha
+from arc4rng.bench import run_generation_bench
 from arc4rng.chacha import (
     BLOCK_SIZE,
     KEY_SIZE,
@@ -36,10 +40,9 @@ from arc4rng.engine import (
     RekeyPolicy,
     StaticEntropy,
     events_to_csv,
-    parse_seed_hex,
 )
 from arc4rng.sampler import uniform, uniform_batch, uniform_generic
-from arc4rng.stats import interval_uniformity_test
+from arc4rng.stats import Histogram, chi_square_p_value, interval_uniformity_test
 
 ZERO_SEED = bytes(SEED_SIZE)
 SEED_A = bytes(range(SEED_SIZE))
@@ -148,11 +151,6 @@ def test_budget_limit_by_counter_seek(extra):
 def test_seed_validation():
     with pytest.raises(ValueError):
         Engine(b"short")
-    assert parse_seed_hex("00" * SEED_SIZE) == ZERO_SEED
-    with pytest.raises(ValueError):
-        parse_seed_hex("zz" * SEED_SIZE)
-    with pytest.raises(ValueError):
-        parse_seed_hex("00" * (SEED_SIZE - 1))
 
 
 @pytest.mark.parametrize("policy", ["fixed", 4096, RekeyPolicy])
@@ -695,30 +693,8 @@ def test_reseed_failure_leaves_engine_usable():
     a.random_u32()  # still works
 
 
-def test_reseed_with_non_bytes_source_moves_no_state():
-    # A 44-character str passes the length check; it must fail before the
-    # rekey overwrites the buffer and advances the cipher.
-    class StrSource:
-        def read(self):
-            return "k" * SEED_SIZE
-
-    a = Engine(SEED_A, RekeyPolicy.fixed())
-    b = Engine(SEED_A, RekeyPolicy.fixed())
-    a.random_buf(100)
-    b.random_buf(100)
-    before = _state(a)
-    with pytest.raises(TypeError):
-        a.reseed(StrSource())
-    assert _state(a) == before
-    assert a.random_buf(2000) == b.random_buf(2000)
-
-
 def test_static_entropy_takes_bytes_like_data_only():
-    # bytes(44) is 44 zero bytes and bytes(True) one: an int must not become
-    # an all-zero seed that passes the length check.
-    for bad in (SEED_SIZE, True, "k" * SEED_SIZE, None):
-        with pytest.raises(TypeError):
-            StaticEntropy(bad)
+    # The bytes table checks its refusals: an int, a bool, a str and None.
     data = bytearray(range(SEED_SIZE))
     source = StaticEntropy(data)
     data[0] = 99  # the source keeps its own copy
@@ -757,6 +733,7 @@ _BYTES_PARAMETERS = [
     pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, StaticEntropy(v)), id="StaticEntropy data"),
     pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, _Source(v)), id="reseed source read()"),
     pytest.param(None, None, lambda e, s, v: s.xor(v), id="xor data"),
+    pytest.param(SEED_SIZE, ValueError, lambda e, s, v: run_generation_bench(10, RekeyPolicy.fixed(), v).seed_hex, id="bench seed"),
 ]
 
 
@@ -767,6 +744,12 @@ def _engine_and_stream():
     s = ChaCha20Stream(_KEY, _NONCE)
     s.keystream(100)
     return e, s
+
+
+def _next_output(e, s):
+    """What the engine and the stream serve next; _state omits the buffer
+    position, which this shows."""
+    return e.random_buf(64), s.keystream(16)
 
 
 @pytest.mark.parametrize("size, size_error, call", _BYTES_PARAMETERS)
@@ -790,6 +773,67 @@ def test_every_bytes_parameter_takes_a_contiguous_buffer_counted_in_bytes(size, 
         with pytest.raises(error, match=match):
             call(e, s, bad)
         assert (_state(e), s.position) == before, repr(bad)
+        assert _next_output(e, s) == _next_output(*_engine_and_stream()), repr(bad)
+
+
+_INTERVALS = list(range(64, 128))  # one event per offset of base 64
+# Each integer parameter, named as in the README: the name its error gives,
+# its range (hi None: no upper limit), a value in range, and a call that
+# passes the value on and returns what was made of it.
+_INTEGER_PARAMETERS = [
+    pytest.param("fixed_interval", 1, MAX_BUDGET, 4096, lambda e, s, v: RekeyPolicy.fixed(v), id="RekeyPolicy.fixed(interval)"),
+    pytest.param("rekey_base", 2, 1 << 32, 4096, lambda e, s, v: RekeyPolicy.fuzzed(v), id="RekeyPolicy.fuzzed(base)"),
+    pytest.param("upper_bound", 0, 1 << 32, 100, lambda e, s, v: uniform(e, v), id="uniform(upper_bound)"),
+    pytest.param("upper_bound", 0, 1 << 32, 100, lambda e, s, v: uniform_batch(e, v, 9)[0].tolist(), id="uniform_batch(upper_bound)"),
+    pytest.param("n", 0, None, 1000, lambda e, s, v: uniform_batch(e, 100, v)[0].tolist(), id="uniform_batch(n)"),
+    pytest.param("n", 0, None, 1000, lambda e, s, v: e.random_buf(v), id="random_buf(n)"),
+    pytest.param("n", 0, None, 1000, lambda e, s, v: e.random_u32_batch(v).tolist(), id="random_u32_batch(n)"),
+    pytest.param("n", 0, None, 1000, lambda e, s, v: e.discard(v), id="discard(n)"),
+    pytest.param("n", 0, None, 1000, lambda e, s, v: s.keystream(v), id="ChaCha20Stream.keystream(n)"),
+    pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: ChaCha20Stream(_KEY, _NONCE, v).keystream(64), id="ChaCha20Stream(counter)"),
+    pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: initial_state(_KEY, v, _NONCE), id="initial_state(counter)"),
+    pytest.param("df", 1, None, 7, lambda e, s, v: chi_square_p_value(3.0, v), id="chi_square_p_value(df)"),
+    pytest.param("base", 1, None, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
+    pytest.param("k", 2, 64, 4, lambda e, s, v: interval_uniformity_test(_INTERVALS, 64, v), id="interval_uniformity_test(k)"),
+    pytest.param("k", 0, None, 4, lambda e, s, v: Histogram.categorical([0, 1, 1], v), id="Histogram.categorical(k)"),
+    pytest.param("n_integers", 1, None, 10, lambda e, s, v: run_generation_bench(v, RekeyPolicy.fixed(), SEED_A)[2:], id="run_generation_bench(n_integers)"),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi, value, call", _INTEGER_PARAMETERS)
+def test_every_integer_parameter_takes_integers_in_its_range_only(name, lo, hi, value, call):
+    # One rule for every integer input: numpy integers and 0-d integer arrays
+    # act as their int; bools, fractions, NaN, strings, None and values past
+    # either end raise a ValueError naming the parameter before state moves.
+    def outcome(v):
+        e, s = _engine_and_stream()
+        return call(e, s, v), _state(e), _next_output(e, s)
+
+    want = outcome(value)
+    for same in (np.int64(value), np.uint16(value), np.array(value)):
+        assert outcome(same) == want, repr(same)
+
+    refused = [True, False, 2.5, math.nan, "8", None, lo - 1] + ([] if hi is None else [hi + 1])
+    for bad in refused:
+        e, s = _engine_and_stream()
+        before = _state(e), s.position
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in {lo}\.\."):
+            call(e, s, bad)
+        assert (_state(e), s.position) == before, repr(bad)
+        assert _next_output(e, s) == _next_output(*_engine_and_stream()), repr(bad)
+
+
+def test_integer_table_matches_the_readme():
+    # The README's list of integer parameters names a row's call or
+    # parameter with each of its code spans, and every row's call.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Rekey budgets .*? must\s+be integers", readme, re.DOTALL).group()
+    named = set(re.findall(r"`([^`]+)`", listed))
+    rows = {p.id for p in _INTEGER_PARAMETERS}
+    calls = {row.partition("(")[0] for row in rows}
+    parameters = {row.partition("(")[2].rstrip(")") for row in rows}
+    assert named <= rows | calls | parameters, f"no row for {named - rows - calls - parameters}"
+    assert calls <= {span.partition("(")[0] for span in named}, "a row's call is not in the README"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -815,7 +859,7 @@ def test_forked_child_rekeys_and_parent_does_not():
 
 
 def test_from_source_and_from_hex():
-    e1 = Engine(parse_seed_hex(SEED_A.hex()), RekeyPolicy.fixed())
+    e1 = Engine(bytes.fromhex(SEED_A.hex()), RekeyPolicy.fixed())
     e2 = Engine.from_source(StaticEntropy(SEED_A), RekeyPolicy.fixed())
     assert e1.random_buf(100) == e2.random_buf(100)
 

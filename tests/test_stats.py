@@ -157,6 +157,10 @@ def test_chi_square_test_df():
     res = chi_square_test([5, 15], [10, 10])
     assert res.df == 1
     assert res.statistic == pytest.approx(5.0)
+    # Fewer than two bins leave no degree of freedom; the error names the bins.
+    for bins in ([], [7]):
+        with pytest.raises(ValueError, match=f"^bins must be .* got {len(bins)}$"):
+            chi_square_test(bins, bins)
 
 
 # --- histograms ------------------------------------------------------------
