@@ -1,10 +1,11 @@
 """Command-line surface: generation, chi-square runs, benchmark comparisons,
-and rekey-interval dumps.
+and rekey-interval dumps. --seed takes 88 hex digits, no whitespace, or "os".
 
-Exit status: 0 on success, 2 for usage errors, 1 for runtime errors.
+Exit status: 0, or 1 on a runtime error; each usage error raises SystemExit(2) via parser.error().
 """
 
 import argparse
+import binascii
 import contextlib
 import hashlib
 import json
@@ -17,27 +18,21 @@ from .engine import (
     DEFAULT_REKEY_BASE,
     SEED_SIZE,
     Engine,
-    EntropyError,
     OsEntropy,
     RekeyPolicy,
     events_to_csv,
 )
 
-EXIT_USAGE = 2
 EXIT_RUNTIME = 1
 
 
-class UsageError(Exception):
-    pass
-
-
-def _resolve_seed(seed_arg):
-    if seed_arg == "os":
+def _seed(text):
+    if text == "os":
         return OsEntropy().read()
     try:
-        return checked_bytes(bytes.fromhex(seed_arg), "seed", SEED_SIZE)
+        return checked_bytes(binascii.unhexlify(text), "seed", SEED_SIZE)
     except ValueError as exc:
-        raise UsageError(f"--seed must be {2 * SEED_SIZE} hex characters or os ({exc})") from None
+        raise argparse.ArgumentTypeError(f"must be {2 * SEED_SIZE} hex characters or os ({exc})")
 
 
 _BUDGET_OF = {"fixed": "fixed_interval", "fuzzed": "rekey_base"}
@@ -50,11 +45,11 @@ def _policies(args, *modes):
     budgets = {k: v for k, v in vars(args).items() if k in _BUDGET_OF.values()}
     unread = sorted(budgets.keys() - {_BUDGET_OF[m] for m in modes})
     if unread:
-        raise UsageError(f"--{unread[0].replace('_', '-')} is not read by the {modes[0]} policy")
+        args.fail(f"--{unread[0].replace('_', '-')} is not read by the {modes[0]} policy")
     try:
         return [RekeyPolicy(mode, **budgets) for mode in modes]
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        args.fail(str(exc))
 
 
 def _derive_run_seed(seed, run_index):
@@ -67,6 +62,7 @@ def _derive_run_seed(seed, run_index):
 
 _OPTIONS = {
     "--seed": dict(
+        type=_seed,
         default="os",
         help=f'{2 * SEED_SIZE} hex chars, or "os" for platform entropy (default)',
     ),
@@ -101,7 +97,7 @@ def _output(path, binary=False):
 
 
 def cmd_gen(args):
-    engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
+    engine = Engine(args.seed, *_policies(args, args.policy))
     with _output(args.output, args.raw) as out:
         for start in range(0, args.count, bench.CHUNK):
             values = engine.random_u32_batch(min(bench.CHUNK, args.count - start))
@@ -114,8 +110,8 @@ def cmd_gen(args):
 
 def cmd_chisq(args):
     if args.bins > min(args.count, 1 << 32):  # 2^32: the sampler's largest bound
-        raise UsageError(f"--bins must be at most --count and 2^32, got {args.bins}")
-    engine = Engine(_resolve_seed(args.seed), *_policies(args, args.policy))
+        args.fail(f"--bins must be at most --count and 2^32, got {args.bins}")
+    engine = Engine(args.seed, *_policies(args, args.policy))
     # Drawn and binned in chunks, so memory does not grow with --count; the
     # draws equal one uniform_batch(count) call's.
     counts = [0] * args.bins
@@ -140,8 +136,7 @@ def _report_dict(report):
 
 def cmd_compare(args):
     fixed, fuzzed = _policies(args, "fixed", "fuzzed")
-    seed = _resolve_seed(args.seed)
-    seeds = [_derive_run_seed(seed, i) for i in range(args.runs)]
+    seeds = [_derive_run_seed(args.seed, i) for i in range(args.runs)]
     reference, candidate = bench.compare_policies(args.count, seeds, fixed, fuzzed)
     rows = bench.compare(reference, candidate)
     with _output(args.output) as out:
@@ -163,11 +158,11 @@ def cmd_compare(args):
 def cmd_intervals(args):
     need = stats.MIN_EVENTS_PER_BIN * args.bins
     if args.rekeys < need:
-        raise UsageError(f"--rekeys must be at least {need} for {args.bins} bins")
+        args.fail(f"--rekeys must be at least {need} for {args.bins} bins")
     (policy,) = _policies(args, "fuzzed")
     if args.bins > policy.rekey_base:
-        raise UsageError(f"--bins must be at most --rekey-base ({policy.rekey_base}), got {args.bins}")
-    engine = Engine(_resolve_seed(args.seed), policy)
+        args.fail(f"--bins must be at most --rekey-base ({policy.rekey_base}), got {args.bins}")
+    engine = Engine(args.seed, policy)
     # Each discard drains exactly the current budget, which ends in one rekey.
     while engine.rekey_count < args.rekeys:
         engine.discard(engine.count)
@@ -196,14 +191,14 @@ def build_parser():
     p.add_argument("--raw", action="store_true", help="binary output instead of decimal lines")
     p.add_argument("--events", metavar="CSV", help="also write the rekey-event log")
     p.add_argument("--output", "-o", metavar="FILE")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, fail=p.error)
 
     p = sub.add_parser("chisq", help="chi-square goodness of fit on bounded draws")
     _add_options(p, "--seed", "--policy", "--fixed-interval", "--rekey-base")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--bins", type=int, default=100, metavar="K")
     p.add_argument("--output", "-o", metavar="FILE")
-    p.set_defaults(func=cmd_chisq)
+    p.set_defaults(func=cmd_chisq, fail=p.error)
 
     p = sub.add_parser("compare", help="fixed-vs-fuzzed generation benchmark table")
     _add_options(p, "--seed", "--fixed-interval", "--rekey-base")
@@ -211,30 +206,27 @@ def build_parser():
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", "-o", metavar="FILE")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, fail=p.error)
 
     p = sub.add_parser("intervals", help="dump fuzzed rekey intervals + uniformity test")
     _add_options(p, "--seed", "--rekey-base")
     p.add_argument("--rekeys", type=int, default=10_000, metavar="N")
     p.add_argument("--bins", type=int, default=16, metavar="K")
     p.add_argument("--output", "-o", metavar="FILE", help="interval CSV destination")
-    p.set_defaults(func=cmd_intervals)
+    p.set_defaults(func=cmd_intervals, fail=p.error)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: --seed os reads platform entropy while parsing.
+        args = build_parser().parse_args(argv)
         # The least value of each count option, in whichever commands take it.
         for name, floor in (("count", 1), ("runs", 1), ("bins", 2)):
             if getattr(args, name, floor) < floor:
-                raise UsageError(f"--{name} must be at least {floor}")
+                args.fail(f"--{name} must be at least {floor}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EntropyError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

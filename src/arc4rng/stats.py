@@ -105,7 +105,7 @@ def interval_uniformity_test(events, base, k=16):
     interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
-    base = checked_int(base, "base", 1)
+    base = checked_int(base, "base", 2)
     k = checked_int(k, "k", 2, base)
     intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events")
     need = MIN_EVENTS_PER_BIN * k

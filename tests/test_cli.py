@@ -2,22 +2,30 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from arc4rng import bench, stats
-from arc4rng.cli import EXIT_RUNTIME, EXIT_USAGE, _derive_run_seed, build_parser, main
+from arc4rng.cli import EXIT_RUNTIME, _derive_run_seed, build_parser, main
 from arc4rng.engine import MAX_BUDGET, SEED_SIZE, Engine, RekeyPolicy
 from arc4rng.sampler import uniform_batch
 
 HEX_SEED = bytes(range(SEED_SIZE)).hex()
 ZERO_SEED = "00" * SEED_SIZE
+EXIT_USAGE = 2  # argparse's exit status for a usage error
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main's exit status, whether returned or raised, with its stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -47,10 +55,13 @@ def test_gen_bad_seed_hex_is_usage_error(capsys, monkeypatch):
         raise AssertionError("an engine was built before the seed was checked")
 
     monkeypatch.setattr(Engine, "__init__", no_engine)
-    for seed in ("nothex", "zz" * SEED_SIZE, "00" * (SEED_SIZE - 1), "00" * (SEED_SIZE + 1)):
+    bad = ["nothex", "zz" * SEED_SIZE, "00" * (SEED_SIZE - 1), "00" * (SEED_SIZE + 1)]
+    # Whitespace is not skipped: each of these spells 44 zero bytes to bytes.fromhex.
+    bad += [" ".join(["00"] * SEED_SIZE), "\t" + "00" * SEED_SIZE, "00" * SEED_SIZE + "\n"]
+    for seed in bad:
         code, out, err = run_cli(capsys, "gen", "--count", "5", "--seed", seed)
-        assert code == EXIT_USAGE and out == "", seed
-        assert err.startswith(f"error: --seed must be {2 * SEED_SIZE} hex characters"), seed
+        assert code == EXIT_USAGE and out == "", repr(seed)
+        assert f"error: argument --seed: must be {2 * SEED_SIZE} hex characters" in err, repr(seed)
 
 
 def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
@@ -60,6 +71,32 @@ def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
     assert code == EXIT_RUNTIME == 1
     assert err.startswith("error:") and out == ""
     assert not out_file.parent.exists()
+
+
+def test_failing_os_seed_read_is_a_runtime_error(capsys, monkeypatch):
+    # --seed os is read while the arguments are parsed, and an OSError there
+    # is a runtime error like any other.
+    def no_entropy(n):
+        raise OSError("no entropy source")
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    code, out, err = run_cli(capsys, "gen", "--count", "1")
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error:") and "no entropy source" in err and out == ""
+
+
+def test_exit_status_of_the_module_run_as_a_program(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def status(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "arc4rng.cli", *argv],
+            env=env, capture_output=True, timeout=60,
+        ).returncode
+
+    assert status("gen", "--count", "3", "--seed", HEX_SEED) == 0
+    assert status("gen", "--count", "0", "--seed", HEX_SEED) == EXIT_USAGE
+    assert status("gen", "--count", "1", "--seed", HEX_SEED, "-o", str(tmp_path / "missing" / "x")) == EXIT_RUNTIME
 
 
 def test_gen_events_csv(tmp_path, capsys):
@@ -195,54 +232,42 @@ def test_compare_bad_runs_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_intervals_fixed_policy_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["intervals", "--policy", "fixed", "--seed", ZERO_SEED])
-    assert exc.value.code == EXIT_USAGE
-    assert "--policy" in capsys.readouterr().err
+# Each row: the arguments, and what stderr must name.
+_USAGE_ERRORS = [
+    (["gen", "--count", "5", "--fixed-interval", "0"], "--fixed-interval"),
+    (["gen", "--count", "5", "--policy", "fixed", "--fixed-interval", "0"], "fixed_interval"),
+    (["chisq", "--count", "100", "--rekey-base", "0"], "rekey_base"),
+    (["chisq", "--count", "100", "--rekey-base", "1"], "rekey_base"),
+    (["compare", "--count", "100", "--fixed-interval", str(MAX_BUDGET + 1)], "fixed_interval"),
+    (["compare", "--count", "100", "--rekey-base", str(MAX_BUDGET)], "rekey_base"),
+    (["intervals", "--rekey-base", "-1"], "rekey_base"),
+    (["intervals", "--rekeys", "100", "--bins", "16"], "--rekeys"),
+    (["gen", "--count", "5", "--policy", "fuzzed", "--fixed-interval", "5"], "--fixed-interval"),
+    (["chisq", "--count", "100", "--policy", "fixed", "--rekey-base", "4096"], "--rekey-base"),
+    (["intervals", "--bins", "1"], "--bins"),
+    (["chisq", "--count", "10", "--bins", "11"], "--bins"),
+    (["chisq", "--count", str(2**33), "--bins", str(2**32 + 1)], "--bins"),
+    (["intervals", "--rekeys", "200", "--rekey-base", "3", "--bins", "16"], "--bins"),
+    # Options a command does not take at all.
+    (["intervals", "--policy", "fixed"], "--policy"),
+    (["compare", "--policy", "fixed"], "--policy"),
+    (["intervals", "--fixed-interval", "7"], "--fixed-interval"),
+    # argparse's own checks.
+    (["gen", "--count", "x"], "--count"),
+    (["gen"], "--count"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["compare", "--policy", "fixed"],
-        ["intervals", "--fixed-interval", "7"],
-    ],
-)
-def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", ZERO_SEED])
-    assert exc.value.code == EXIT_USAGE
-    assert argv[1] in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "--count", "5", "--fixed-interval", "0"],
-        ["gen", "--count", "5", "--policy", "fixed", "--fixed-interval", "0"],
-        ["chisq", "--count", "100", "--rekey-base", "0"],
-        ["chisq", "--count", "100", "--rekey-base", "1"],
-        ["compare", "--count", "100", "--fixed-interval", str(MAX_BUDGET + 1)],
-        ["compare", "--count", "100", "--rekey-base", str(MAX_BUDGET)],
-        ["intervals", "--rekey-base", "-1"],
-        ["intervals", "--rekeys", "100", "--bins", "16"],
-        ["gen", "--count", "5", "--policy", "fuzzed", "--fixed-interval", "5"],
-        ["chisq", "--count", "100", "--policy", "fixed", "--rekey-base", "4096"],
-        ["intervals", "--bins", "1"],
-        ["chisq", "--count", "10", "--bins", "11"],
-        ["chisq", "--count", str(2**33), "--bins", str(2**32 + 1)],
-        ["intervals", "--rekeys", "200", "--rekey-base", "3", "--bins", "16"],
-    ],
-)
-def test_bad_option_values_are_usage_errors_before_any_work(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, named", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))])
+def test_bad_option_values_are_usage_errors_before_any_work(argv, named, capsys, monkeypatch):
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine was built before the options were checked")
 
     monkeypatch.setattr(Engine, "__init__", no_engine)
-    code, _, err = run_cli(capsys, *argv, "--seed", ZERO_SEED)
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ")
+    code, out, err = run_cli(capsys, *argv, "--seed", ZERO_SEED)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: arc4rng") and "error: " in err
+    assert named in err
 
 
 @pytest.mark.parametrize(

@@ -793,7 +793,7 @@ _INTEGER_PARAMETERS = [
     pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: ChaCha20Stream(_KEY, _NONCE, v).keystream(64), id="ChaCha20Stream(counter)"),
     pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: initial_state(_KEY, v, _NONCE), id="initial_state(counter)"),
     pytest.param("df", 1, None, 7, lambda e, s, v: chi_square_p_value(3.0, v), id="chi_square_p_value(df)"),
-    pytest.param("base", 1, None, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
+    pytest.param("base", 2, None, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
     pytest.param("k", 2, 64, 4, lambda e, s, v: interval_uniformity_test(_INTERVALS, 64, v), id="interval_uniformity_test(k)"),
     pytest.param("k", 0, None, 4, lambda e, s, v: Histogram.categorical([0, 1, 1], v), id="Histogram.categorical(k)"),
     pytest.param("n_integers", 1, None, 10, lambda e, s, v: run_generation_bench(v, RekeyPolicy.fixed(), SEED_A)[2:], id="run_generation_bench(n_integers)"),

@@ -50,7 +50,10 @@ import json, sys
 from arc4rng import cli
 
 cli.build_parser()
-code = cli.main(["gen", "--count", "0", "--seed", "00" * 44])
+try:
+    code = cli.main(["gen", "--count", "0", "--seed", "00" * 44])
+except SystemExit as exc:
+    code = exc.code
 print(json.dumps({
     "code": code,
     "loaded_numpy": "numpy" in sys.modules,
