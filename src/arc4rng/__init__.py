@@ -11,7 +11,6 @@ from .engine import (
     BUF_SIZE,
     SEED_SIZE,
     Engine,
-    EntropyError,
     OsEntropy,
     RekeyEvent,
     RekeyPolicy,
@@ -35,7 +34,6 @@ __all__ = [
     "ChiSquareResult",
     "CounterExhaustedError",
     "Engine",
-    "EntropyError",
     "Histogram",
     "OsEntropy",
     "RekeyEvent",

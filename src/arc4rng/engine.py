@@ -50,10 +50,6 @@ _LAST_U32 = BUF_SIZE - 4  # the last buffer offset random_u32's fast path reads
 _sink = functools.cache(lambda: memoryview(bytearray(PIECE_SIZE)))
 
 
-class EntropyError(Exception):
-    """A seed source failed to deliver SEED_SIZE bytes."""
-
-
 class RekeyPolicy(namedtuple("RekeyPolicy", "mode fixed_interval rekey_base")):
     """Chooses the byte budget installed at each rekey."""
 
@@ -117,15 +113,6 @@ class StaticEntropy:
         return self._data
 
 
-def _read_seed(source):
-    """SEED_SIZE bytes from a seed source, or EntropyError."""
-    seed = source.read()
-    try:
-        return checked_bytes(seed, "seed", SEED_SIZE)
-    except ValueError as exc:
-        raise EntropyError(str(exc)) from None
-
-
 class Engine:
     """The RNG state machine (arc4random semantics, explicit seeding).
 
@@ -139,9 +126,10 @@ class Engine:
     included; `rekey_count` is its length. `count` is the budget left and
     `total_out` the output bytes served so far.
 
+    The seed is SEED_SIZE bytes, OsEntropy().read() for an unpredictable one.
     An engine is not thread-safe and has one owner at a time. A forked child
-    rekeys every engine it inherits from OS entropy, as reseed() does, so a
-    seeded engine is not reproducible across a fork.
+    calls reseed(OsEntropy()) on every engine it inherits, so a seeded engine
+    is not reproducible across a fork.
     """
 
     _live = weakref.WeakSet()  # every live engine, rekeyed in a forked child
@@ -160,10 +148,6 @@ class Engine:
         self.events = []
         self._rekey()  # initial stir: the seed never keys output directly
         Engine._live.add(self)
-
-    @classmethod
-    def from_source(cls, source, policy=None):
-        return cls(_read_seed(source), policy)
 
     @property
     def rekey_count(self):
@@ -270,10 +254,11 @@ class Engine:
 
         The next key is a fresh keystream block XOR the entropy, so the
         current cipher's counter keeps moving forward and no output repeats,
-        whatever the entropy. On source failure the error propagates and the
+        whatever the entropy. The source's bytes are sized as a seed is: a
+        wrong size raises ValueError. On that or the source's own error the
         engine keeps working with its current key.
         """
-        self._rekey(_read_seed(source))
+        self._rekey(checked_bytes(source.read(), "seed", SEED_SIZE))
 
     def snapshot(self):
         """Serialize the secret-bearing state (for key-erasure checks): the
@@ -288,7 +273,7 @@ class Engine:
     @classmethod
     def _rekey_all_after_fork(cls):
         for engine in cls._live:
-            engine._rekey(os.urandom(SEED_SIZE))
+            engine.reseed(OsEntropy())
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere there is no fork

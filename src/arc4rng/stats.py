@@ -65,10 +65,10 @@ class Histogram(namedtuple("Histogram", "bins")):
         import numpy as np
 
         k = checked_int(k, "k")
-        counts = np.bincount(_integer_array(values, "values"), minlength=k)
-        if len(counts) > k:
+        values = _integer_array(values, "values")
+        if values.size and values.max() >= k:
             raise ValueError("observed value outside the categorical range")
-        return cls(bins=counts.tolist())
+        return cls(bins=np.bincount(values, minlength=k).tolist())
 
 
 ChiSquareResult = namedtuple("ChiSquareResult", "statistic df p_value")
@@ -107,7 +107,7 @@ def interval_uniformity_test(events, base, k=16):
     """
     base = checked_int(base, "base", 2)
     k = checked_int(k, "k", 2, base)
-    intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events")
+    intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events").astype("int64")
     need = MIN_EVENTS_PER_BIN * k
     if len(intervals) < need:
         raise ValueError(f"need at least {need} events for {k} bins, got {len(intervals)}")

@@ -34,7 +34,6 @@ from arc4rng.engine import (
     MAX_BUDGET,
     SEED_SIZE,
     Engine,
-    EntropyError,
     OsEntropy,
     RekeyEvent,
     RekeyPolicy,
@@ -52,7 +51,7 @@ class FailingEntropy:
     """Seed source that always fails; exercises the reseed error path."""
 
     def read(self):
-        raise EntropyError("entropy source unavailable")
+        raise OSError("entropy source unavailable")
 
 
 def test_policy_validation():
@@ -161,8 +160,6 @@ def test_policy_type_rejected_before_cipher_is_built(policy, monkeypatch):
     monkeypatch.setattr("arc4rng.engine.ChaCha20Stream", no_cipher)
     with pytest.raises(TypeError, match="policy"):
         Engine(SEED_A, policy)
-    with pytest.raises(TypeError, match="policy"):
-        Engine.from_source(StaticEntropy(SEED_A), policy)
 
 
 def test_same_seed_same_policy_same_output():
@@ -677,7 +674,7 @@ def test_reseed_with_fresh_entropy_diverges():
 def test_reseed_failure_leaves_engine_usable():
     a = Engine(SEED_A, RekeyPolicy.fixed())
     b = Engine(SEED_A, RekeyPolicy.fixed())
-    with pytest.raises(EntropyError):
+    with pytest.raises(OSError):
         a.reseed(FailingEntropy())
     assert a.snapshot() == b.snapshot()
     assert a.random_buf(64) == b.random_buf(64)  # old key still in service
@@ -687,7 +684,7 @@ def test_reseed_failure_leaves_engine_usable():
             return b"tiny"
 
     for short in (ShortSource(), StaticEntropy(b"tiny")):
-        with pytest.raises(EntropyError):
+        with pytest.raises(ValueError, match="seed must be 44 bytes, got 4"):
             a.reseed(short)
         assert a.snapshot() == b.snapshot()
     a.random_u32()  # still works
@@ -730,8 +727,8 @@ _BYTES_PARAMETERS = [
     pytest.param(KEY_SIZE, ValueError, lambda e, s, v: initial_state(v, 1, _NONCE), id="initial_state key"),
     pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: initial_state(_KEY, 1, v), id="initial_state nonce"),
     pytest.param(SEED_SIZE, ValueError, lambda e, s, v: Engine(v, RekeyPolicy.fixed()).random_buf(64), id="Engine seed"),
-    pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, StaticEntropy(v)), id="StaticEntropy data"),
-    pytest.param(SEED_SIZE, EntropyError, lambda e, s, v: _reseeded(e, _Source(v)), id="reseed source read()"),
+    pytest.param(SEED_SIZE, ValueError, lambda e, s, v: _reseeded(e, StaticEntropy(v)), id="StaticEntropy data"),
+    pytest.param(SEED_SIZE, ValueError, lambda e, s, v: _reseeded(e, _Source(v)), id="reseed source read()"),
     pytest.param(None, None, lambda e, s, v: s.xor(v), id="xor data"),
     pytest.param(SEED_SIZE, ValueError, lambda e, s, v: run_generation_bench(10, RekeyPolicy.fixed(), v).seed_hex, id="bench seed"),
 ]
@@ -844,9 +841,11 @@ def test_forked_child_rekeys_and_parent_does_not():
     twin.random_buf(10)
     read_end, write_end = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child sends its next 64 bytes and leaves at once
+    if pid == 0:  # the child sends its next 64 bytes and last event, and leaves at once
         try:
-            os.write(write_end, a.random_buf(64))
+            out = a.random_buf(64)
+            last = a.events[-1]
+            os.write(write_end, out + struct.pack("<QQ", last.ordinal, last.output_offset))
         finally:
             os._exit(0)
     os.close(write_end)
@@ -855,21 +854,15 @@ def test_forked_child_rekeys_and_parent_does_not():
     os.waitpid(pid, 0)
     parent = a.random_buf(64)
     assert parent == twin.random_buf(64)
-    assert len(child) == 64 and child != parent
+    assert len(child) == 64 + 16 and child[:64] != parent
+    # One rekey in the child, logged at its total_out when it forked
+    assert struct.unpack("<QQ", child[64:]) == (len(twin.events), 10)
 
 
-def test_from_source_and_from_hex():
+def test_from_hex():
     e1 = Engine(bytes.fromhex(SEED_A.hex()), RekeyPolicy.fixed())
-    e2 = Engine.from_source(StaticEntropy(SEED_A), RekeyPolicy.fixed())
+    e2 = Engine(SEED_A, RekeyPolicy.fixed())
     assert e1.random_buf(100) == e2.random_buf(100)
-
-    class ShortSource:
-        def read(self):
-            return b"tiny"
-
-    for short in (ShortSource(), StaticEntropy(b"tiny")):
-        with pytest.raises(EntropyError):
-            Engine.from_source(short)
 
 
 def test_events_csv_schema():

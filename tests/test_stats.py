@@ -171,6 +171,9 @@ def test_categorical_histogram():
     assert h == ([1, 2, 3, 0],) and repr(h) == "Histogram(bins=[1, 2, 3, 0])"
     with pytest.raises(ValueError):
         Histogram.categorical([0, 5], 3)
+    # Refused before any bins are sized by it
+    with pytest.raises(ValueError, match="outside the categorical range"):
+        Histogram.categorical([2**40], 3)
     with pytest.raises(ValueError, match="k must be"):
         Histogram.categorical([0, 1], 2.5)
     assert Histogram.categorical([0, 1, 1], np.int64(4)).bins == [1, 2, 0, 0]
@@ -214,6 +217,16 @@ def test_interval_uniformity_expects_counts_in_proportion_to_bin_width(base, k):
     # exactly as expected.
     events = [base + x for x in range(base)] * -(-10 * k // base)
     assert interval_uniformity_test(events, base, k).statistic == 0.0
+
+
+def test_interval_uniformity_same_for_narrow_integer_arrays():
+    # Offsets times k are formed in 64 bits, so (intervals - base) * k cannot
+    # wrap in a uint32 array's own dtype and call a uniform grid non-uniform.
+    base, k = 1 << 31, 16
+    grid = [base + x * (base // 160) for x in range(160)]
+    res = interval_uniformity_test(grid, base, k)
+    assert res.p_value > 0.999
+    assert interval_uniformity_test(np.array(grid, dtype=np.uint32), base, k) == res
 
 
 def test_interval_uniformity_degenerate_concentration():
