@@ -161,24 +161,31 @@ class Engine:
         """Install the next key, as OpenBSD's _rs_rekey does: the first SEED_SIZE
         bytes of a fresh BUF_SIZE keystream block, XOR entropy (None: zeros).
         Every key comes this way: the initial stir, budget rekeys, reseed()
-        and the fork hook."""
+        and the fork hook.
+
+        The buffer counts as empty until the new key and its budget are in
+        place, so if anything raises on the way the engine serves nothing it
+        drew here: it keeps its current key, at most BUF_SIZE bytes further on."""
+        self._pos = BUF_SIZE
         self._cipher.keystream_into(self._buf)
         seed = int.from_bytes(self._buf[:SEED_SIZE], "little") ^ int.from_bytes(entropy or b"", "little")
         seed = seed.to_bytes(SEED_SIZE, "little")
-        self._cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
-        self._pos = SEED_SIZE
+        cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
+        count = self._next_interval(cipher)
         offset = self.total_out
-        self.count = self._next_interval()
-        self._budget_end = offset + self.count
-        self.events.append(RekeyEvent(len(self.events), offset, self.count))
+        self._cipher = cipher
+        self._pos = SEED_SIZE
+        self.count = count
+        self._budget_end = offset + count
+        self.events.append(RekeyEvent(len(self.events), offset, count))
 
-    def _next_interval(self):
+    def _next_interval(self, cipher):
         if self.policy.mode == "fixed":
             return self.policy.fixed_interval
         # Fuzz words from the new key's stream, drawn as arc4random_uniform does
         base = self.policy.rekey_base
-        return base + uniform_generic(lambda: _unpack_u32(self._cipher.xor(bytes(FUZZ_SIZE)))[0], base)
+        return base + uniform_generic(lambda: _unpack_u32(cipher.xor(bytes(FUZZ_SIZE)))[0], base)
 
     def _fill(self, view, n=None):
         """Fill view with output (or, view None, discard n bytes), rekeying at
@@ -255,8 +262,8 @@ class Engine:
         The next key is a fresh keystream block XOR the entropy, so the
         current cipher's counter keeps moving forward and no output repeats,
         whatever the entropy. The source's bytes are sized as a seed is: a
-        wrong size raises ValueError. On that or the source's own error the
-        engine keeps working with its current key.
+        wrong size raises ValueError. On that, the source's own error or a
+        failure inside the rekey the engine keeps working with its current key.
         """
         self._rekey(checked_bytes(source.read(), "seed", SEED_SIZE))
 

@@ -66,7 +66,8 @@ class Histogram(namedtuple("Histogram", "bins")):
 
         k = checked_int(k, "k")
         values = _integer_array(values, "values")
-        if values.size and values.max() >= k:
+        # min() only for a signed dtype: unsigned values take one pass
+        if values.size and (values.max() >= k or values.dtype.kind == "i" and values.min() < 0):
             raise ValueError("observed value outside the categorical range")
         return cls(bins=np.bincount(values, minlength=k).tolist())
 
@@ -105,7 +106,7 @@ def interval_uniformity_test(events, base, k=16):
     interval outside [base, 2*base) is an engine invariant breach and
     raises, it is not a statistical failure.
     """
-    base = checked_int(base, "base", 2)
+    base = checked_int(base, "base", 2, 1 << 32)  # as rekey_base: offset * k stays in int64
     k = checked_int(k, "k", 2, base)
     intervals = _integer_array([getattr(e, "interval_chosen", e) for e in events], "events").astype("int64")
     need = MIN_EVENTS_PER_BIN * k

@@ -37,8 +37,6 @@ def test_run_rekey_count_formula():
     for n in (2400, 2500, 2600, 7500):
         m = run_generation_bench(n, RekeyPolicy.fixed(interval), SEED)
         assert m.rekeys == 1 + (4 * n) // interval
-    with pytest.raises(ValueError):
-        run_generation_bench(0, RekeyPolicy.fixed(), SEED)
 
 
 def test_run_is_seed_deterministic_in_rekeys():

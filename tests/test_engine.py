@@ -54,30 +54,6 @@ class FailingEntropy:
         raise OSError("entropy source unavailable")
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RekeyPolicy("weird")
-    with pytest.raises(ValueError):
-        RekeyPolicy.fixed(0)
-    with pytest.raises(ValueError):
-        RekeyPolicy.fuzzed(-1)
-    # A fractional budget is refused up front, not by a later slice.
-    with pytest.raises(ValueError):
-        RekeyPolicy.fixed(1500.5)
-    with pytest.raises(ValueError):
-        RekeyPolicy.fuzzed(600.5)
-    # A bool is no budget: fixed(True) would rekey after every byte.
-    for flag in (True, False):
-        with pytest.raises(ValueError, match="fixed_interval"):
-            RekeyPolicy.fixed(flag)
-        with pytest.raises(ValueError, match="rekey_base"):
-            RekeyPolicy.fuzzed(flag)
-    # numpy integers are accepted and stored as ints.
-    assert RekeyPolicy.fixed(np.int64(1500)) == RekeyPolicy.fixed(1500)
-    assert type(RekeyPolicy.fuzzed(np.uint32(600)).rekey_base) is int
-    assert type(RekeyPolicy.fixed(np.int64(1500)).fixed_interval) is int
-
-
 def test_policy_and_event_are_immutable_named_tuples():
     policy = RekeyPolicy.fixed(1500)
     # Every way to build a policy from fields goes through the same checks.
@@ -113,17 +89,8 @@ def test_policy_budget_bounded_by_counter_space():
     assert RekeyPolicy.fixed(MAX_BUDGET).fixed_interval == MAX_BUDGET
     # A fuzz word is 32 bits, so a base above 2^32 could not be spread uniformly.
     assert RekeyPolicy.fuzzed(2**32).rekey_base == 2**32
-    with pytest.raises(ValueError, match="rekey_base"):
-        RekeyPolicy.fuzzed(2**32 + 1)
     # Base 1 would draw no fuzz word: a fuzzed policy that never fuzzes.
     assert RekeyPolicy.fuzzed(2).rekey_base == 2
-    with pytest.raises(ValueError, match="rekey_base"):
-        RekeyPolicy.fuzzed(1)
-    for bad in (MAX_BUDGET + 1, 2**40):
-        with pytest.raises(ValueError):
-            RekeyPolicy.fixed(bad)
-        with pytest.raises(ValueError):
-            RekeyPolicy.fuzzed(-(-bad // 2))
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -204,8 +171,7 @@ def test_fuzz_interval_formula_edges():
         ((999,), 1999),
         ((2**32 - 1,), 1295),
     ]:
-        e._cipher = StubCipher(*words)
-        assert e._next_interval() == expected
+        assert e._next_interval(StubCipher(*words)) == expected
 
 
 def test_fuzzed_intervals_uniform_for_a_large_base():
@@ -392,22 +358,11 @@ def test_fixed_vs_fuzzed_diverge_at_first_refill():
     assert fixed[boundary:] != fuzzed[boundary:]
 
 
-def test_random_u32_budget_accounting():
-    e = Engine(SEED_A, RekeyPolicy.fixed())
-    start = e.count
-    e.random_u32()
-    e.random_u32()
-    assert start - e.count == 8
-    assert e.total_out == 8
-
-
 def test_random_buf_edge_cases():
     e = Engine(SEED_A, RekeyPolicy.fixed())
     before = (e.count, e.total_out, len(e.events))
     assert e.random_buf(0) == b""
     assert (e.count, e.total_out, len(e.events)) == before
-    with pytest.raises(ValueError):
-        e.random_buf(-1)
 
 
 def _accounting(e):
@@ -434,16 +389,6 @@ def test_non_integer_n_rejected_before_state_moves(n):
 
 
 def test_numpy_integer_n_accepted():
-    a = Engine(SEED_A, RekeyPolicy.fixed(3000))
-    b = Engine(SEED_A, RekeyPolicy.fixed(3000))
-    assert a.random_buf(np.int64(5)) == b.random_buf(5)
-    assert a.random_buf(np.uint16(2000)) == b.random_buf(2000)
-    assert list(a.random_u32_batch(np.int32(7))) == list(b.random_u32_batch(7))
-    a.discard(np.int64(4000))
-    b.discard(4000)
-    assert _state(a) == _state(b)
-    assert a.random_buf(100) == b.random_buf(100)
-
     # The fast path keeps the engine's numbers Python ints.
     e = Engine(bytes(SEED_SIZE), RekeyPolicy.fixed(64))
     e.random_buf(np.int64(5))
@@ -454,12 +399,16 @@ def test_numpy_integer_n_accepted():
     json.dumps(numbers)
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 1 << 20])
-def test_random_u32_batch_is_a_fresh_u32_array(n):
+@pytest.mark.parametrize(
+    "n, skip",
+    [(0, 3), (1, 3), (255, 3), (256, 3), (1 << 20, 3), (2000, 0)],  # at 3, words straddle the buffer's 4-byte grid
+    ids=["0", "1", "255", "256", "1048576", "2000-aligned"],
+)
+def test_random_u32_batch_is_a_fresh_u32_array(n, skip):
     a = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
     b = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
-    a.random_buf(3)  # words straddle the buffer's 4-byte grid
-    b.random_buf(3)
+    a.random_buf(skip)
+    b.random_buf(skip)
     words = a.random_u32_batch(n)
     assert words.dtype == np.dtype("<u4") and words.shape == (n,)
     assert words.flags.writeable and words.flags.c_contiguous
@@ -618,27 +567,6 @@ def test_one_request_equals_small_chunks_past_rekey():
         assert e.snapshot() == chunked.snapshot()
 
 
-def test_boundary_accounting():
-    e = Engine(SEED_A, RekeyPolicy.fuzzed(base=2048))
-    for _ in range(30_000):
-        e.random_buf(32)
-    ev = e.events
-    assert len(ev) > 100
-    for prev, nxt in zip(ev, ev[1:]):
-        assert nxt.ordinal == prev.ordinal + 1
-        # Eager rekey at exhaustion: offsets differ by exactly the interval.
-        assert nxt.output_offset - prev.output_offset == prev.interval_chosen
-
-
-def test_batch_equals_individual_draws():
-    a = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
-    b = Engine(SEED_A, RekeyPolicy.fuzzed(base=600))
-    batch = a.random_u32_batch(2000)
-    singles = [b.random_u32() for _ in range(2000)]
-    assert list(batch) == singles
-    assert a.events == b.events
-
-
 def test_reseed_forces_rekey_even_with_zero_entropy():
     a = Engine(SEED_A, RekeyPolicy.fixed())
     b = Engine(SEED_A, RekeyPolicy.fixed())
@@ -688,6 +616,49 @@ def test_reseed_failure_leaves_engine_usable():
             a.reseed(short)
         assert a.snapshot() == b.snapshot()
     a.random_u32()  # still works
+
+
+class _FuzzWordFails(ChaCha20Stream):
+    def xor(self, data):
+        raise MemoryError("injected")
+
+
+def _cipher_fails(*args):
+    raise MemoryError("injected")
+
+
+@pytest.mark.parametrize(
+    "policy, new_cipher",
+    [(RekeyPolicy.fixed(3000), _cipher_fails), (RekeyPolicy.fuzzed(2048), _cipher_fails), (RekeyPolicy.fuzzed(2048), _FuzzWordFails)],
+    ids=["fixed-cipher", "fuzzed-cipher", "fuzzed-fuzz-word"],
+)
+def test_failed_rekey_serves_nothing_it_drew(policy, new_cipher, monkeypatch):
+    # A failure while the next key is built, in its cipher or at its fuzz
+    # word, leaves the block the rekey drew unserved, would-be key bytes
+    # included, and the engine on its current key.
+    e = Engine(SEED_A, policy)
+    returned = len(e.random_buf(980)) + len(e.random_buf(10))  # the buffer is at byte 10
+    key, events = e.snapshot()[:SEED_SIZE], list(e.events)
+    drawn = []
+    keystream_into = ChaCha20Stream.keystream_into
+
+    def record(self, view):
+        keystream_into(self, view)
+        drawn.append(bytes(view))
+
+    with monkeypatch.context() as m:
+        m.setattr(ChaCha20Stream, "keystream_into", record)
+        m.setattr("arc4rng.engine.ChaCha20Stream", new_cipher)
+        with pytest.raises(MemoryError):
+            e.reseed(StaticEntropy(bytes(SEED_SIZE)))
+    [block] = drawn
+    assert (e.snapshot()[:SEED_SIZE], e.events) == (key, events)
+    later = e.random_buf(34) + e.random_buf(3000)
+    e.reseed(StaticEntropy(bytes(SEED_SIZE)))
+    assert e.events[-1].output_offset == returned + len(later)  # this reseed's event
+    later += e.random_buf(3000)
+    assert not _windows(block) & _windows(later)
+    assert e.total_out == returned + len(later)
 
 
 def test_static_entropy_takes_bytes_like_data_only():
@@ -790,7 +761,7 @@ _INTEGER_PARAMETERS = [
     pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: ChaCha20Stream(_KEY, _NONCE, v).keystream(64), id="ChaCha20Stream(counter)"),
     pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: initial_state(_KEY, v, _NONCE), id="initial_state(counter)"),
     pytest.param("df", 1, None, 7, lambda e, s, v: chi_square_p_value(3.0, v), id="chi_square_p_value(df)"),
-    pytest.param("base", 2, None, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
+    pytest.param("base", 2, 1 << 32, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
     pytest.param("k", 2, 64, 4, lambda e, s, v: interval_uniformity_test(_INTERVALS, 64, v), id="interval_uniformity_test(k)"),
     pytest.param("k", 0, None, 4, lambda e, s, v: Histogram.categorical([0, 1, 1], v), id="Histogram.categorical(k)"),
     pytest.param("n_integers", 1, None, 10, lambda e, s, v: run_generation_bench(v, RekeyPolicy.fixed(), SEED_A)[2:], id="run_generation_bench(n_integers)"),
@@ -800,17 +771,18 @@ _INTEGER_PARAMETERS = [
 @pytest.mark.parametrize("name, lo, hi, value, call", _INTEGER_PARAMETERS)
 def test_every_integer_parameter_takes_integers_in_its_range_only(name, lo, hi, value, call):
     # One rule for every integer input: numpy integers and 0-d integer arrays
-    # act as their int; bools, fractions, NaN, strings, None and values past
-    # either end raise a ValueError naming the parameter before state moves.
+    # act as their int and are kept as one (the reprs of np.int64(7) and 7
+    # differ); bools, floats, NaN, strings, None and values past either end
+    # raise a ValueError naming the parameter before state moves.
     def outcome(v):
         e, s = _engine_and_stream()
         return call(e, s, v), _state(e), _next_output(e, s)
 
     want = outcome(value)
     for same in (np.int64(value), np.uint16(value), np.array(value)):
-        assert outcome(same) == want, repr(same)
+        assert repr(outcome(same)) == repr(want), repr(same)
 
-    refused = [True, False, 2.5, math.nan, "8", None, lo - 1] + ([] if hi is None else [hi + 1])
+    refused = [True, False, 2.5, 1e3, np.float64(4.0), math.nan, "8", None, lo - 1] + ([] if hi is None else [hi + 1])
     for bad in refused:
         e, s = _engine_and_stream()
         before = _state(e), s.position
@@ -857,12 +829,6 @@ def test_forked_child_rekeys_and_parent_does_not():
     assert len(child) == 64 + 16 and child[:64] != parent
     # One rekey in the child, logged at its total_out when it forked
     assert struct.unpack("<QQ", child[64:]) == (len(twin.events), 10)
-
-
-def test_from_hex():
-    e1 = Engine(bytes.fromhex(SEED_A.hex()), RekeyPolicy.fixed())
-    e2 = Engine(SEED_A, RekeyPolicy.fixed())
-    assert e1.random_buf(100) == e2.random_buf(100)
 
 
 def test_events_csv_schema():
@@ -979,9 +945,9 @@ _ACCOUNTED_CALLS = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_output_accounting_across_calls_and_reseeds(policy, calls):
-    # total_out counts bytes handed out; a reseed event sits at the output
-    # offset of its call, and every budget event one interval after the
-    # event before it.
+    # total_out counts bytes handed out; events are numbered in order, a
+    # reseed event sits at the output offset of its call, and every budget
+    # event (an eager rekey at exhaustion) one interval after the one before.
     e = Engine(SEED_A, policy)
     served = 0
     reseed_offsets = {}  # event ordinal -> total_out when reseed was called
@@ -1004,6 +970,7 @@ def test_output_accounting_across_calls_and_reseeds(policy, calls):
             reseed_offsets[len(e.events)] = e.total_out
             e.reseed(StaticEntropy(arg))
         assert e.total_out == served
+    assert [ev.ordinal for ev in e.events] == list(range(len(e.events)))
     assert e.events[0].output_offset == 0
     for prev, ev in zip(e.events, e.events[1:]):
         if ev.ordinal in reseed_offsets:

@@ -52,10 +52,6 @@ def test_degenerate_bounds_consume_nothing():
     e = Engine(SEED, RekeyPolicy.fixed())
     assert uniform(e, 0) == 0
     assert uniform(e, 1) == 0
-    # bools are no bounds: refused by the checked path before any draw
-    for bound in (False, True):
-        with pytest.raises(ValueError, match="upper_bound"):
-            uniform(e, bound)
     assert e.total_out == 0
 
 
@@ -193,8 +189,6 @@ def test_uniform_batch_degenerate():
     values, drawn = uniform_batch(e, 1, 5)
     assert list(values) == [0] * 5
     assert drawn == 0
-    with pytest.raises(ValueError):
-        uniform_batch(e, 100, -1)
 
 
 _BOUNDS = st.one_of(
