@@ -2,9 +2,14 @@
 
 The engine keeps a 1024-byte keystream buffer. Every `count` output bytes it
 rekeys: the buffer is refilled from the current cipher, its first 44 bytes
-become the next key+nonce and are immediately zeroed, so no copy of the new
-key exists outside the cipher context and output served before a rekey cannot
-be recomputed from the state after it.
+become the next key+nonce and are immediately zeroed, so the engine's state
+holds no copy of the new key outside the cipher context and output served
+before a rekey cannot be recomputed from the state after it.
+
+That is as far as erasure goes in CPython. Copies of each key live on in
+immutable objects that are freed without being zeroed, until their memory is
+reused: ChaCha20Stream.key and .nonce, _rekey's seed int and bytes and their
+slices, and the ChaCha20 algorithm object that `cryptography` builds.
 
 Keys are erased only at a rekey, so the backtracking window is the rekey
 budget: the current key and nonce (held by the cipher, and in snapshot())
@@ -127,12 +132,17 @@ class Engine:
     `total_out` the output bytes served so far.
 
     The seed is SEED_SIZE bytes, OsEntropy().read() for an unpredictable one.
-    An engine is not thread-safe and has one owner at a time. A forked child
-    calls reseed(OsEntropy()) on every engine it inherits, so a seeded engine
-    is not reproducible across a fork.
+    An engine is not thread-safe and has one owner at a time. In a forked
+    child every engine it inherits has spent its budget, as OpenBSD's
+    _rs_forkdetect leaves it: the child's first rekey, whichever call makes
+    it, mixes OsEntropy in as well as any reseed entropy, and serves nothing
+    of the block the parent serves next. If that read fails, the call raises,
+    and so does every call that would serve output until a rekey succeeds. So
+    a seeded engine is not reproducible across a fork.
     """
 
-    _live = weakref.WeakSet()  # every live engine, rekeyed in a forked child
+    _live = weakref.WeakSet()  # every live engine, spent in a forked child
+    _forked = False  # set in a forked child until its first rekey succeeds
 
     def __init__(self, seed, policy=None):
         seed = checked_bytes(seed, "seed", SEED_SIZE)
@@ -160,24 +170,32 @@ class Engine:
     def _rekey(self, entropy=None):
         """Install the next key, as OpenBSD's _rs_rekey does: the first SEED_SIZE
         bytes of a fresh BUF_SIZE keystream block, XOR entropy (None: zeros).
-        Every key comes this way: the initial stir, budget rekeys, reseed()
-        and the fork hook.
+        Every key comes this way: the initial stir, budget rekeys and
+        reseed(). A forked child's first rekey mixes in OsEntropy too, and
+        serves from the new key only.
 
         The buffer counts as empty until the new key and its budget are in
         place, so if anything raises on the way the engine serves nothing it
         drew here: it keeps its current key, at most BUF_SIZE bytes further on."""
         self._pos = BUF_SIZE
+        mix = int.from_bytes(entropy or b"", "little")
+        forked = self._forked
+        if forked:
+            mix ^= int.from_bytes(OsEntropy().read(), "little")
         self._cipher.keystream_into(self._buf)
-        seed = int.from_bytes(self._buf[:SEED_SIZE], "little") ^ int.from_bytes(entropy or b"", "little")
+        seed = int.from_bytes(self._buf[:SEED_SIZE], "little") ^ mix
         seed = seed.to_bytes(SEED_SIZE, "little")
         self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure
         cipher = ChaCha20Stream(seed[:KEY_SIZE], seed[KEY_SIZE:])
         count = self._next_interval(cipher)
         offset = self.total_out
         self._cipher = cipher
-        self._pos = SEED_SIZE
+        # The parent serves the rest of this block at its next refill, so a
+        # forked child leaves it unserved, as OpenBSD's _rs_stir drops its buffer.
+        self._pos = BUF_SIZE if forked else SEED_SIZE
         self.count = count
         self._budget_end = offset + count
+        self._forked = False
         self.events.append(RekeyEvent(len(self.events), offset, count))
 
     def _next_interval(self, cipher):
@@ -278,10 +296,14 @@ class Engine:
         )
 
     @classmethod
-    def _rekey_all_after_fork(cls):
+    def _spend_all_after_fork(cls):
+        """End every budget at its current output offset, so each engine's
+        next call rekeys through _fill, with fresh entropy. Nothing here can
+        fail, so nothing is lost to the at-fork hook's "Exception ignored"."""
         for engine in cls._live:
-            engine.reseed(OsEntropy())
+            engine._budget_end, engine.count = engine.total_out, 0
+            engine._forked = True
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere there is no fork
-    os.register_at_fork(after_in_child=Engine._rekey_all_after_fork)
+    os.register_at_fork(after_in_child=Engine._spend_all_after_fork)

@@ -27,9 +27,12 @@ CHACHA, ENGINE, SAMPLER, STATS, CLI = (f"src/arc4rng/{m}.py" for m in ("chacha",
 MUTANTS = [
     # Key erasure, the rekey and the fork hook
     (ENGINE, "self._buf[:SEED_SIZE] = bytes(SEED_SIZE)  # key erasure", "pass", 3),
-    (ENGINE, "engine.reseed(OsEntropy())", "pass", 3),
-    (ENGINE, "self._pos = BUF_SIZE", "pass", 3),  # a failed rekey serves the block it drew
-    (ENGINE, ' ^ int.from_bytes(entropy or b"", "little")', "", 3),  # reseed ignores its entropy
+    (ENGINE, "engine._budget_end, engine.count = engine.total_out, 0", "pass", 3),  # a forked child serves on
+    (ENGINE, "self._pos = BUF_SIZE\n", "pass\n", 3),  # a failed rekey serves the block it drew
+    (ENGINE, 'mix = int.from_bytes(entropy or b"", "little")', "mix = 0", 3),  # reseed ignores its entropy
+    (ENGINE, 'mix ^= int.from_bytes(OsEntropy().read(), "little")', "pass", 3),  # a forked child's rekey ignores fresh entropy
+    (ENGINE, "BUF_SIZE if forked else SEED_SIZE", "SEED_SIZE", 3),  # a forked child serves the block its parent serves next
+    (ENGINE, "weakref.WeakSet()", "set()", 3),  # the fork registry keeps every engine alive
     (ENGINE, "uniform_generic(lambda: _unpack_u32(cipher.xor(bytes(FUZZ_SIZE)))[0], base)", "_unpack_u32(cipher.xor(bytes(FUZZ_SIZE)))[0] % base", 3),
     (ENGINE, "RekeyEvent(len(self.events), offset, count)", "RekeyEvent(len(self.events), self._budget_end, count)", 4),
     # Budgets, fast paths and chunking invariance
