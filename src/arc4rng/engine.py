@@ -252,7 +252,9 @@ class Engine:
         return bytes(out)
 
     def random_u32(self):
-        """One uniformly distributed 32-bit value; never fails."""
+        """One uniformly distributed 32-bit value. It raises only what a rekey
+        raises: OSError in a forked child whose OsEntropy read fails, and any
+        error inside a budget rekey, such as MemoryError."""
         pos = self._pos
         if pos <= _LAST_U32 and 4 < self.count:
             # Fast path: same bytes, same order as random_buf(4).

@@ -39,6 +39,9 @@ MUTANTS = [
     (ENGINE, "pos <= _LAST_U32 and 4 < self.count", "pos <= _LAST_U32 and 4 <= self.count", 3),
     (ENGINE, "0 < n < self.count", "0 < n <= self.count", 3),
     (ENGINE, "type(n) is int and 0 < n", "0 < n", 4),  # numpy integers reach the event log
+    (ENGINE, "_LAST_U32 = BUF_SIZE - 4", "_LAST_U32 = BUF_SIZE - 3", 3),  # a word straddles the buffer's end
+    (ENGINE, "self.count -= 4", "self.count -= 3", 3),  # a word spends 3 bytes of budget
+    (ENGINE, "self.count -= n", "self.count -= n - (n == 1)", 3),  # a 1-byte request spends no budget
     (ENGINE, 'bytearray(checked_int(n, "n"))', "bytearray(n)", 3),
     (ENGINE, "if self.count == 0:", "if self.count == 0 and pos < n:", 2),  # a request-end rekey waits for the next request
     (ENGINE, "take = min(take - take % BUF_SIZE, PIECE_SIZE)", "take = min(take, PIECE_SIZE)", 2),

@@ -42,7 +42,7 @@ from arc4rng.engine import (
     StaticEntropy,
     events_to_csv,
 )
-from arc4rng.sampler import uniform, uniform_batch, uniform_generic
+from arc4rng.sampler import uniform, uniform_batch
 from arc4rng.stats import Histogram, chi_square_p_value, interval_uniformity_test
 
 ZERO_SEED = bytes(SEED_SIZE)
@@ -129,13 +129,6 @@ def test_policy_type_rejected_before_cipher_is_built(policy, monkeypatch):
     monkeypatch.setattr("arc4rng.engine.ChaCha20Stream", no_cipher)
     with pytest.raises(TypeError, match="policy"):
         Engine(SEED_A, policy)
-
-
-def test_same_seed_same_policy_same_output():
-    a = Engine(SEED_A, RekeyPolicy.fuzzed())
-    b = Engine(SEED_A, RekeyPolicy.fuzzed())
-    assert a.random_buf(5000) == b.random_buf(5000)
-    assert a.events == b.events
 
 
 def test_fuzz_interval_formula_edges():
@@ -482,38 +475,6 @@ def test_large_request_keeps_the_zero_block_fixed():
     assert np.array_equal(big, np.concatenate(pieces))
 
 
-def test_chunking_invariance_random_partitions():
-    # Budgets above BUF_SIZE + (BUF_SIZE - SEED_SIZE) and chunks of BUF_SIZE
-    # or more take the direct keystream path on both sides of a rekey. After
-    # every chunk the accounting equals that of an engine fed the same prefix
-    # one byte at a time.
-    rng = random.Random(42)
-    for policy in (
-        RekeyPolicy.fuzzed(base=700),
-        RekeyPolicy.fixed(3000),
-        RekeyPolicy.fuzzed(base=2500),
-    ):
-        ref = Engine(SEED_A, policy)
-        reference = ref.random_buf(20_000)
-        bytewise = Engine(SEED_A, policy)
-        states = [_accounting(bytewise)]
-        for _ in range(20_000):
-            bytewise.random_buf(1)
-            states.append(_accounting(bytewise))
-        for _ in range(20):
-            e = Engine(SEED_A, policy)
-            got = []
-            remaining = 20_000
-            while remaining:
-                k = rng.choice((rng.randint(1, 300), rng.randint(1024, 4096)))
-                k = min(k, remaining)
-                got.append(e.random_buf(k))
-                remaining -= k
-                assert _accounting(e) == states[20_000 - remaining]
-            assert b"".join(got) == reference
-            assert e.events == ref.events
-
-
 def test_one_request_equals_small_chunks_past_rekey():
     exact = BUF_SIZE - SEED_SIZE + 2 * BUF_SIZE
     for budget, total, chunk in (
@@ -831,142 +792,3 @@ def test_events_csv_schema():
     assert lines[0] == "ordinal,output_offset,interval_chosen"
     assert lines[1].startswith("0,0,")
     assert len(lines) == len(e.events) + 1
-
-
-def test_have_bounded_after_rekey():
-    e = Engine(SEED_A, RekeyPolicy.fixed())
-    assert e._pos == SEED_SIZE
-
-
-_CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("u32"), st.just(0)),
-        st.tuples(st.just("buf"), st.integers(0, 64)),
-        st.tuples(
-            st.just("uniform"),
-            st.one_of(
-                st.sampled_from([0, 1, 2, 3, 6, 100, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]),
-                st.integers(2, 2**32),
-            ),
-        ),
-    ),
-    max_size=150,
-)
-_TINY_POLICIES = st.one_of(
-    st.integers(5, 40).map(RekeyPolicy.fixed),
-    st.integers(960, 1100).map(RekeyPolicy.fixed),
-    st.sampled_from([RekeyPolicy.fuzzed(base=8), RekeyPolicy.fuzzed(base=600)]),
-)
-
-
-@given(policy=_TINY_POLICIES, skip=st.integers(0, 1000), calls=_CALLS)
-@example(policy=RekeyPolicy.fixed(8), skip=0, calls=[("u32", 0), ("u32", 0), ("buf", 8)])
-@example(policy=RekeyPolicy.fixed(1000), skip=BUF_SIZE - SEED_SIZE - 4, calls=[("u32", 0), ("u32", 0)])
-@example(policy=RekeyPolicy.fixed(1000), skip=BUF_SIZE - SEED_SIZE - 3, calls=[("u32", 0), ("buf", 9)])
-@settings(max_examples=200, deadline=None)
-def test_fast_path_matches_bytewise_replay(policy, skip, calls):
-    # Budget-exact requests (count == n) and words ending at or straddling the
-    # buffer's last byte sit on the fast path's edges.
-    e = Engine(SEED_A, policy)
-    e.random_buf(skip)
-    got = []
-    for kind, arg in calls:
-        if kind == "u32":
-            got.append(e.random_u32())
-        elif kind == "buf":
-            got.append(e.random_buf(arg))
-        else:
-            got.append(uniform(e, arg))
-
-    r = Engine(SEED_A, policy)
-
-    def read(n):
-        return b"".join(r.random_buf(1) for _ in range(n))
-
-    def word():
-        return int.from_bytes(read(4), "little")
-
-    read(skip)
-    want = []
-    for kind, arg in calls:
-        if kind == "u32":
-            want.append(word())
-        elif kind == "buf":
-            want.append(read(arg))
-        else:
-            want.append(uniform_generic(word, arg))
-    assert got == want
-    assert e.events == r.events
-    assert e.total_out == r.total_out
-    assert e.snapshot() == r.snapshot()
-
-
-class _CountedWords:
-    """Hands sampler.uniform an engine's random_u32 and counts the words drawn."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.words = 0
-
-    def random_u32(self):
-        self.words += 1
-        return self.engine.random_u32()
-
-
-_ACCOUNTED_CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("buf"), st.integers(0, 3000)),
-        st.tuples(st.just("u32"), st.just(None)),
-        st.tuples(st.just("batch"), st.integers(0, 700)),
-        st.tuples(st.just("discard"), st.integers(0, 3000)),
-        st.tuples(st.just("uniform"), st.sampled_from([0, 6, 100, 2**31 + 1, 2**32 - 1])),
-        st.tuples(st.just("reseed"), st.binary(min_size=SEED_SIZE, max_size=SEED_SIZE)),
-    ),
-    max_size=40,
-)
-
-
-@given(
-    policy=st.one_of(
-        st.integers(5, 40).map(RekeyPolicy.fixed),
-        st.sampled_from([RekeyPolicy.fuzzed(base=8), RekeyPolicy.fuzzed(base=600)]),
-    ),
-    calls=_ACCOUNTED_CALLS,
-)
-@example(
-    policy=RekeyPolicy.fixed(40), calls=[("buf", 30), ("reseed", bytes(SEED_SIZE)), ("buf", 50)]
-)
-@settings(max_examples=150, deadline=None)
-def test_output_accounting_across_calls_and_reseeds(policy, calls):
-    # total_out counts bytes handed out; events are numbered in order, a
-    # reseed event sits at the output offset of its call, and every budget
-    # event (an eager rekey at exhaustion) one interval after the one before.
-    e = Engine(SEED_A, policy)
-    served = 0
-    reseed_offsets = {}  # event ordinal -> total_out when reseed was called
-    for kind, arg in calls:
-        if kind == "buf":
-            served += len(e.random_buf(arg))
-        elif kind == "u32":
-            e.random_u32()
-            served += 4
-        elif kind == "batch":
-            served += 4 * len(e.random_u32_batch(arg))
-        elif kind == "discard":
-            e.discard(arg)
-            served += arg
-        elif kind == "uniform":
-            counted = _CountedWords(e)
-            uniform(counted, arg)
-            served += 4 * counted.words
-        else:
-            reseed_offsets[len(e.events)] = e.total_out
-            e.reseed(StaticEntropy(arg))
-        assert e.total_out == served
-    assert [ev.ordinal for ev in e.events] == list(range(len(e.events)))
-    assert e.events[0].output_offset == 0
-    for prev, ev in zip(e.events, e.events[1:]):
-        if ev.ordinal in reseed_offsets:
-            assert ev.output_offset == reseed_offsets[ev.ordinal]
-        else:
-            assert ev.output_offset == prev.output_offset + prev.interval_chosen
