@@ -129,7 +129,11 @@ class Engine:
 
     `events` always holds one RekeyEvent per rekey, the initial stir
     included; `rekey_count` is its length. `count` is the budget left and
-    `total_out` the output bytes served so far.
+    `total_out` the bytes taken from the output stream: what calls returned,
+    plus what a call that raised had taken, which is never served. That count
+    is not rolled back, because bytes taken before a rekey inside the raising
+    call are under a key already erased, and serving them again would replay
+    them.
 
     The seed is SEED_SIZE bytes, OsEntropy().read() for an unpredictable one.
     An engine is not thread-safe and has one owner at a time. In a forked
@@ -252,9 +256,10 @@ class Engine:
         return bytes(out)
 
     def random_u32(self):
-        """One uniformly distributed 32-bit value. It raises only what a rekey
-        raises: OSError in a forked child whose OsEntropy read fails, and any
-        error inside a budget rekey, such as MemoryError."""
+        """One uniformly distributed 32-bit value. It raises only what a buffer
+        refill or a rekey raises: OSError in a forked child whose OsEntropy
+        read fails, and any error inside a refill or a budget rekey, such as
+        MemoryError."""
         pos = self._pos
         if pos <= _LAST_U32 and 4 < self.count:
             # Fast path: same bytes, same order as random_buf(4).

@@ -35,6 +35,8 @@ MUTANTS = [
     (ENGINE, "weakref.WeakSet()", "set()", 3),  # the fork registry keeps every engine alive
     (ENGINE, "uniform_generic(lambda: _unpack_u32(cipher.xor(bytes(FUZZ_SIZE)))[0], base)", "_unpack_u32(cipher.xor(bytes(FUZZ_SIZE)))[0] % base", 3),
     (ENGINE, "RekeyEvent(len(self.events), offset, count)", "RekeyEvent(len(self.events), self._budget_end, count)", 4),
+    (ENGINE, "count = self._next_interval(cipher)\n        offset = self.total_out\n        self._cipher = cipher",
+     "self._cipher = cipher\n        count = self._next_interval(cipher)\n        offset = self.total_out", 3),  # a failed fuzz word leaves the new key in service
     # Budgets, fast paths and chunking invariance
     (ENGINE, "pos <= _LAST_U32 and 4 < self.count", "pos <= _LAST_U32 and 4 <= self.count", 3),
     (ENGINE, "0 < n < self.count", "0 < n <= self.count", 3),

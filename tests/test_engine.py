@@ -1,7 +1,9 @@
 """Engine tests: determinism, rekey mechanics, key erasure, accounting."""
 
+import contextlib
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,7 +52,7 @@ SEED_A = bytes(range(SEED_SIZE))
 
 
 class FailingEntropy:
-    """Seed source that always fails; exercises the reseed error path."""
+    """Seed source that always fails; stands in for a forked child's OsEntropy."""
 
     def read(self):
         raise OSError("entropy source unavailable")
@@ -114,11 +116,6 @@ def test_budget_limit_by_counter_seek(extra):
     else:
         e.discard(e.count)
         assert len(e.events) == 2
-
-
-def test_seed_validation():
-    with pytest.raises(ValueError):
-        Engine(b"short")
 
 
 @pytest.mark.parametrize("policy", ["fixed", 4096, RekeyPolicy])
@@ -519,56 +516,55 @@ def test_reseed_with_fresh_entropy_diverges():
     assert a.random_buf(64) != b.random_buf(64)
 
 
-def test_reseed_failure_leaves_engine_usable():
-    a = Engine(SEED_A, RekeyPolicy.fixed())
-    b = Engine(SEED_A, RekeyPolicy.fixed())
-    with pytest.raises(OSError):
-        a.reseed(FailingEntropy())
-    assert a.snapshot() == b.snapshot()
-    assert a.random_buf(64) == b.random_buf(64)  # old key still in service
+# (bytes taken, call returning what it served): rekeys fall inside requests on both paths
+_FAULT_SEQUENCE = [
+    (2000, lambda e: e.random_buf(2000)),
+    (4, lambda e: struct.pack("<I", e.random_u32())),
+    (1200, lambda e: e.random_u32_batch(300).tobytes()),
+    (0, lambda e: e.reseed(StaticEntropy(bytes(SEED_SIZE))) or b""),
+    (5000, lambda e: e.discard(5000) or b""),
+    (4000, lambda e: e.random_buf(4000)),
+]
 
 
-class _FuzzWordFails(ChaCha20Stream):
-    def xor(self, data):
-        raise MemoryError("injected")
+@pytest.mark.parametrize("policy", [RekeyPolicy.fixed(3000), RekeyPolicy.fuzzed(2048)], ids=["fixed", "fuzzed"])
+def test_every_failure_serves_nothing_twice(policy, monkeypatch):
+    # For every k, the k-th call into the cipher or the reseed's source raises. The call takes
+    # at most its size from the output stream, a failed read moves nothing, a failed rekey keeps
+    # the key and log of its draw, and the engine serves on, never a drawn byte nor a window twice.
+    for k in itertools.count(1):
+        e, calls, began, drawn, out = Engine(SEED_A, policy), [], [], [], bytearray()
 
+        def spy(name, original):  # keyed on the name: while patched, the class attribute is the spy
+            def call(*args):
+                calls.append(name)
+                if name == "keystream_into":  # a rekey begins with a draw
+                    began[:] = e._cipher, list(e.events)
+                if len(calls) == k:
+                    raise MemoryError("injected")
+                result = original(*args)
+                if name == "keystream_into":
+                    drawn.append(bytes(args[1]))
+                return result
+            return call
 
-def _cipher_fails(*args):
-    raise MemoryError("injected")
-
-
-@pytest.mark.parametrize(
-    "policy, new_cipher",
-    [(RekeyPolicy.fixed(3000), _cipher_fails), (RekeyPolicy.fuzzed(2048), _cipher_fails), (RekeyPolicy.fuzzed(2048), _FuzzWordFails)],
-    ids=["fixed-cipher", "fuzzed-cipher", "fuzzed-fuzz-word"],
-)
-def test_failed_rekey_serves_nothing_it_drew(policy, new_cipher, monkeypatch):
-    # A failure while the next key is built, in its cipher or at its fuzz
-    # word, leaves the block the rekey drew unserved, would-be key bytes
-    # included, and the engine on its current key.
-    e = Engine(SEED_A, policy)
-    returned = len(e.random_buf(980)) + len(e.random_buf(10))  # the buffer is at byte 10
-    key, events = e.snapshot()[:SEED_SIZE], list(e.events)
-    drawn = []
-    keystream_into = ChaCha20Stream.keystream_into
-
-    def record(self, view):
-        keystream_into(self, view)
-        drawn.append(bytes(view))
-
-    with monkeypatch.context() as m:
-        m.setattr(ChaCha20Stream, "keystream_into", record)
-        m.setattr("arc4rng.engine.ChaCha20Stream", new_cipher)
-        with pytest.raises(MemoryError):
-            e.reseed(StaticEntropy(bytes(SEED_SIZE)))
-    [block] = drawn
-    assert (e.snapshot()[:SEED_SIZE], e.events) == (key, events)
-    later = e.random_buf(34) + e.random_buf(3000)
-    e.reseed(StaticEntropy(bytes(SEED_SIZE)))
-    assert e.events[-1].output_offset == returned + len(later)  # this reseed's event
-    later += e.random_buf(3000)
-    assert not _windows(block) & _windows(later)
-    assert e.total_out == returned + len(later)
+        with monkeypatch.context() as m, contextlib.suppress(MemoryError):
+            for cls, name in [(ChaCha20Stream, "__init__"), (ChaCha20Stream, "keystream_into"), (ChaCha20Stream, "xor"), (StaticEntropy, "read")]:
+                m.setattr(cls, name, spy(name, getattr(cls, name)))
+            for n, request in _FAULT_SEQUENCE:
+                before, total_out, drawn = (_state(e), e._pos), e.total_out, []
+                out += request(e)
+        if len(calls) < k:  # the sequence ran through: every call has failed once
+            break
+        assert 0 <= e.total_out - total_out <= n
+        assert calls[-1] != "read" or (_state(e), e._pos) == before
+        assert calls[-1] == "read" or [e._cipher, e.events] == began
+        taken, later = e.total_out, e.random_buf(3000)
+        e.reseed(StaticEntropy(bytes(SEED_SIZE)))
+        assert e.events[-1].output_offset == e.total_out == taken + 3000
+        later += e.random_buf(3000)
+        assert not set().union(*map(_windows, drawn)) & _windows(later), (k, calls[-1])
+        assert len(_windows(out + later)) == len(out + later) - _WINDOW + 1, (k, calls[-1])
 
 
 def test_static_entropy_takes_bytes_like_data_only():
