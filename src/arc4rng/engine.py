@@ -221,10 +221,18 @@ class Engine:
         output byte where the budget hits zero, even mid-request, so the
         output stream and the event log depend only on (seed, policy), never
         on request chunking.
+
+        A budget left spent, by a failed rekey or by the at-fork hook, is
+        rekeyed before anything is drawn, so the recovery costs one block of
+        the old key. A forked child whose buffer is empty thus keys from its
+        parent's next block XOR OsEntropy, as OpenBSD's _rs_stir rekeys from
+        the next keystream block, and still serves none of that block.
         """
         n = n if view is None else len(view)
         pos = 0
         while pos < n:
+            if not self.count:
+                self._rekey()
             take = min(n - pos, self.count)
             if self._pos < BUF_SIZE:
                 take = min(take, BUF_SIZE - self._pos)

@@ -22,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 AIMS = {1: "measured performance", 2: "quality of design", 3: "correctness and robustness", 4: "observability"}
 
-CHACHA, ENGINE, SAMPLER, STATS, CLI = (f"src/arc4rng/{m}.py" for m in ("chacha", "engine", "sampler", "stats", "cli"))
+CHACHA, ENGINE, SAMPLER, STATS, CLI, BENCH = (f"src/arc4rng/{m}.py" for m in ("chacha", "engine", "sampler", "stats", "cli", "bench"))
 
 MUTANTS = [
     # Key erasure, the rekey and the fork hook
@@ -46,6 +46,7 @@ MUTANTS = [
     (ENGINE, "self.count -= n", "self.count -= n - (n == 1)", 3),  # a 1-byte request spends no budget
     (ENGINE, 'bytearray(checked_int(n, "n"))', "bytearray(n)", 3),
     (ENGINE, "if self.count == 0:", "if self.count == 0 and pos < n:", 2),  # a request-end rekey waits for the next request
+    (ENGINE, "            if not self.count:\n                self._rekey()\n", "", 3),  # a spent budget draws a block it cannot serve
     (ENGINE, "take = min(take - take % BUF_SIZE, PIECE_SIZE)", "take = min(take, PIECE_SIZE)", 2),
     (ENGINE, "_sink()[:take]", "memoryview(bytearray(take))", 1),
     (ENGINE, "MAX_BLOCKS * BLOCK_SIZE - FUZZ_SIZE - BUF_SIZE", "MAX_BLOCKS * BLOCK_SIZE - BUF_SIZE", 3),
@@ -68,11 +69,20 @@ MUTANTS = [
     (STATS, '"base", 2, 1 << 32)', '"base", 2)', 3),
     (STATS, '"events").astype("int64")', '"events")', 3),
     (STATS, "len(intervals) * (b - a) / base for a, b in zip(firsts, firsts[1:])", "len(intervals) / k for a in firsts[1:]", 3),
+    # The percent table
+    (BENCH, "reduction_pct=100.0 * (ref - cand) / ref", "reduction_pct=100.0 * (ref - cand) / cand", 3),
+    (BENCH, "increase_pct=100.0 * (ref - cand) / cand", "increase_pct=100.0 * (ref - cand) / ref", 3),
+    (BENCH, '("cpu", reference.mean_cpu_s, candidate.mean_cpu_s)', '("cpu", reference.mean_wall_s, candidate.mean_wall_s)', 3),
+    (BENCH, "if cand == 0:", "if False:", 3),
 ]
 
+# The acceptance criteria run last: criteria 4 and 7 alone take about 13 s,
+# and a unit test kills most mutants well before that.
+TEST_FILES = sorted((p.relative_to(ROOT).as_posix() for p in (ROOT / "tests").glob("test_*.py")),
+                    key=lambda f: (f == "tests/test_acceptance.py", f))
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-rfE", "-x", "--continue-on-collection-errors", "--hypothesis-seed=0",
           "-p", "no:cacheprovider", "--deselect", "tests/test_acceptance.py::test_criterion_6_performance_parity",
-          "--deselect", "tests/test_mutants.py::test_every_mutant_applies_to_exactly_one_place"]
+          "--deselect", "tests/test_mutants.py::test_every_mutant_applies_to_exactly_one_place", *TEST_FILES]
 
 
 def first_failure(file, old, new):

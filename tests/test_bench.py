@@ -75,40 +75,38 @@ def test_compare_policies_reports_matched_seeds():
         compare_policies(400, [], RekeyPolicy.fixed(), RekeyPolicy.fuzzed())
 
 
-def test_compare_identical_is_zero():
-    rows = compare(_report(1.0, 0.5), _report(1.0, 0.5))
-    assert all(r.reduction_pct == 0.0 and r.increase_pct == 0.0 for r in rows)
+# (reference wall, cpu), (candidate wall, cpu), then the expected (reduction_pct,
+# increase_pct) of the wall row and of the cpu row. Each side's wall and CPU means
+# differ, so a cpu row built from the wall means shows.
+_COMPARE_TABLE = [
+    pytest.param((1.0, 0.5), (1.0, 0.5), (0.0, 0.0), (0.0, 0.0), id="identical"),
+    pytest.param((1.0, 0.5), (0.909, 0.4), (9.1, 10.011), (20.0, 25.0), id="nine-percent"),
+    pytest.param((1.0, 0.5), (0.9984, 0.5008), (0.16, 0.16026), (-0.16, -0.15974), id="generation-bench"),
+    pytest.param((1.7, 0.4), (1.3, 0.55), (23.529, 30.769), (-37.5, -27.273), id="wall-down-cpu-up"),
+    pytest.param((1.0, 0.6), (0.8, 0.75), (20.0, 25.0), (-25.0, -20.0), id="fifth-faster"),
+]
 
 
-def test_compare_nine_percent_row_pattern():
-    rows = compare(_report(1.0, 1.0), _report(0.909, 0.909))
-    wall = rows[0]
-    assert wall.reduction_pct == pytest.approx(9.1)
-    assert wall.increase_pct == pytest.approx(10.0, abs=0.02)
-
-
-def test_compare_generation_bench_magnitude():
-    rows = compare(_report(1.0, 1.0), _report(0.9984, 0.9984))
-    wall = rows[0]
-    assert wall.reduction_pct == pytest.approx(0.16)
-    assert wall.increase_pct == pytest.approx(0.16, abs=0.01)
-
-
-def test_compare_percent_pair_consistency():
-    rows = compare(_report(1.7, 0.4), _report(1.3, 0.55))
-    for r in rows:
-        assert (1 - r.reduction_pct / 100) * (1 + r.increase_pct / 100) == pytest.approx(1.0)
-
-
-def test_compare_antisymmetric_sign():
-    fwd = compare(_report(1.0, 1.0), _report(0.8, 0.8))
-    rev = compare(_report(0.8, 0.8), _report(1.0, 1.0))
-    assert fwd[0].reduction_pct > 0 > rev[0].reduction_pct
+@pytest.mark.parametrize("ref, cand, wall, cpu", _COMPARE_TABLE)
+def test_compare_table(ref, cand, wall, cpu):
+    rows = compare(_report(*ref), _report(*cand))
+    assert [(r.metric, r.reference_s, r.candidate_s) for r in rows] == [
+        ("wall", ref[0], cand[0]),
+        ("cpu", ref[1], cand[1]),
+    ]
+    swapped = compare(_report(*cand), _report(*ref))
+    for row, back, expected in zip(rows, swapped, (wall, cpu)):
+        assert (row.reduction_pct, row.increase_pct) == pytest.approx(expected, rel=1e-4)
+        assert (1 - row.reduction_pct / 100) * (1 + row.increase_pct / 100) == pytest.approx(1.0)
+        # Swapping the sides flips both signs: each percent becomes the other's negative.
+        assert (back.reduction_pct, back.increase_pct) == pytest.approx((-row.increase_pct, -row.reduction_pct))
 
 
 def test_compare_zero_reference_is_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reference"):
         compare(_report(0.0, 1.0), _report(1.0, 1.0))
+    with pytest.raises(ValueError, match="candidate"):
+        compare(_report(1.0, 1.0), _report(1.0, 0.0))
 
 
 def test_comparison_csv_schema():

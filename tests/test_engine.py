@@ -531,7 +531,8 @@ _FAULT_SEQUENCE = [
 def test_every_failure_serves_nothing_twice(policy, monkeypatch):
     # For every k, the k-th call into the cipher or the reseed's source raises. The call takes
     # at most its size from the output stream, a failed read moves nothing, a failed rekey keeps
-    # the key and log of its draw, and the engine serves on, never a drawn byte nor a window twice.
+    # the key and log of its draw, a spent budget rekeys before it draws again, and the engine
+    # serves on, never a drawn byte nor a window twice.
     for k in itertools.count(1):
         e, calls, began, drawn, out = Engine(SEED_A, policy), [], [], [], bytearray()
 
@@ -559,7 +560,10 @@ def test_every_failure_serves_nothing_twice(policy, monkeypatch):
         assert 0 <= e.total_out - total_out <= n
         assert calls[-1] != "read" or (_state(e), e._pos) == before
         assert calls[-1] == "read" or [e._cipher, e.events] == began
+        spent, old, at = e.count == 0, e._cipher, e._cipher.position
         taken, later = e.total_out, e.random_buf(3000)
+        # A spent budget rekeys first: one block of the old key, not a refill and then the rekey
+        assert not spent or old.position == at + BUF_SIZE, (k, calls[-1])
         e.reseed(StaticEntropy(bytes(SEED_SIZE)))
         assert e.events[-1].output_offset == e.total_out == taken + 3000
         later += e.random_buf(3000)
