@@ -58,7 +58,7 @@ def _rotl32(v, n):
 
 
 def quarter_round(a, b, c, d):
-    """One ChaCha quarter round on four 32-bit words; returns the new words."""
+    """One ChaCha quarter round (RFC 8439 §2.1) on four 32-bit words; returns the new words."""
     a = (a + b) & _MASK32
     d = _rotl32(d ^ a, 16)
     c = (c + d) & _MASK32
@@ -70,22 +70,13 @@ def quarter_round(a, b, c, d):
     return a, b, c, d
 
 
-def words_to_bytes(words):
-    """Serialize sixteen 32-bit words as 64 little-endian bytes."""
-    return struct.pack("<16I", *words)
-
-
-def initial_state(key, counter, nonce):
-    """The 16-word ChaCha state matrix: constants, key, counter, nonce."""
+def chacha_block(key, counter, nonce):
+    """The ChaCha20 block function (RFC 8439 §2.3): 64 keystream bytes for one
+    counter value, from the 16-word state of constants, key, counter and nonce."""
     key = checked_bytes(key, "key", KEY_SIZE)
     nonce = checked_bytes(nonce, "nonce", NONCE_SIZE)
     counter = checked_int(counter, "counter", 0, MAX_BLOCKS - 1)
-    return list(_CONSTANTS) + list(struct.unpack("<8I", key)) + [counter] + list(struct.unpack("<3I", nonce))
-
-
-def chacha_block(key, counter, nonce):
-    """The ChaCha20 block function: 64 keystream bytes for one counter value."""
-    init = initial_state(key, counter, nonce)
+    init = list(_CONSTANTS) + list(struct.unpack("<8I", key)) + [counter] + list(struct.unpack("<3I", nonce))
     s = list(init)
     for _ in range(10):
         # column round
@@ -98,7 +89,7 @@ def chacha_block(key, counter, nonce):
         s[1], s[6], s[11], s[12] = quarter_round(s[1], s[6], s[11], s[12])
         s[2], s[7], s[8], s[13] = quarter_round(s[2], s[7], s[8], s[13])
         s[3], s[4], s[9], s[14] = quarter_round(s[3], s[4], s[9], s[14])
-    return words_to_bytes((a + b) & _MASK32 for a, b in zip(s, init))
+    return struct.pack("<16I", *((a + b) & _MASK32 for a, b in zip(s, init)))
 
 
 class ChaCha20Stream:

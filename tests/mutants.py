@@ -74,6 +74,13 @@ MUTANTS = [
     (BENCH, "increase_pct=100.0 * (ref - cand) / cand", "increase_pct=100.0 * (ref - cand) / ref", 3),
     (BENCH, '("cpu", reference.mean_cpu_s, candidate.mean_cpu_s)', '("cpu", reference.mean_wall_s, candidate.mean_wall_s)', 3),
     (BENCH, "if cand == 0:", "if False:", 3),
+    # The reference cipher, which every stream check trusts
+    (CHACHA, "d = _rotl32(d ^ a, 16)", "d = _rotl32(d ^ a, 15)", 3),
+    (CHACHA, "for _ in range(10):", "for _ in range(9):", 3),
+    (CHACHA, "s[0], s[5], s[10], s[15] = quarter_round(s[0], s[5], s[10], s[15])", "s[0], s[4], s[8], s[12] = quarter_round(s[0], s[4], s[8], s[12])", 3),
+    (CHACHA, "[counter]", "[counter & 0xFF]", 3),  # passes both RFC vectors
+    (CHACHA, "(a + b) & _MASK32 for a, b in zip(s, init)", "a for a in s", 3),
+    (CHACHA, '"<16I"', '">16I"', 3),
 ]
 
 # The acceptance criteria run last: criteria 4 and 7 alone take about 13 s,

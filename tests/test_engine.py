@@ -30,7 +30,6 @@ from arc4rng.chacha import (
     ChaCha20Stream,
     CounterExhaustedError,
     chacha_block,
-    initial_state,
 )
 from arc4rng.engine import (
     BUF_SIZE,
@@ -601,8 +600,8 @@ _KEY = SEED_A[:KEY_SIZE]
 _BYTES_PARAMETERS = [
     pytest.param(KEY_SIZE, ValueError, lambda e, s, v: ChaCha20Stream(v, _NONCE).keystream(64), id="ChaCha20Stream key"),
     pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: ChaCha20Stream(_KEY, v).keystream(64), id="ChaCha20Stream nonce"),
-    pytest.param(KEY_SIZE, ValueError, lambda e, s, v: initial_state(v, 1, _NONCE), id="initial_state key"),
-    pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: initial_state(_KEY, 1, v), id="initial_state nonce"),
+    pytest.param(KEY_SIZE, ValueError, lambda e, s, v: chacha_block(v, 1, _NONCE), id="chacha_block key"),
+    pytest.param(NONCE_SIZE, ValueError, lambda e, s, v: chacha_block(_KEY, 1, v), id="chacha_block nonce"),
     pytest.param(SEED_SIZE, ValueError, lambda e, s, v: Engine(v, RekeyPolicy.fixed()).random_buf(64), id="Engine seed"),
     pytest.param(SEED_SIZE, ValueError, lambda e, s, v: _reseeded(e, StaticEntropy(v)), id="StaticEntropy data"),
     pytest.param(SEED_SIZE, ValueError, lambda e, s, v: _reseeded(e, _Source(v)), id="reseed source read()"),
@@ -666,7 +665,7 @@ _INTEGER_PARAMETERS = [
     pytest.param("n", 0, None, 1000, lambda e, s, v: e.discard(v), id="discard(n)"),
     pytest.param("n", 0, None, 1000, lambda e, s, v: s.keystream(v), id="ChaCha20Stream.keystream(n)"),
     pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: ChaCha20Stream(_KEY, _NONCE, v).keystream(64), id="ChaCha20Stream(counter)"),
-    pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: initial_state(_KEY, v, _NONCE), id="initial_state(counter)"),
+    pytest.param("counter", 0, MAX_BLOCKS - 1, 7, lambda e, s, v: chacha_block(_KEY, v, _NONCE), id="chacha_block(counter)"),
     pytest.param("df", 1, None, 7, lambda e, s, v: chi_square_p_value(3.0, v), id="chi_square_p_value(df)"),
     pytest.param("base", 2, 1 << 32, 64, lambda e, s, v: interval_uniformity_test(_INTERVALS, v, 2), id="interval_uniformity_test(base)"),
     pytest.param("k", 2, 64, 4, lambda e, s, v: interval_uniformity_test(_INTERVALS, 64, v), id="interval_uniformity_test(k)"),
